@@ -8,15 +8,13 @@ and its synthetic twin: moments, tail quantiles, cross-correlations, and
 the autocorrelation of squared values (volatility clustering).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .data import EncodedSeries, MODE_BINARY, MODE_CONTINUOUS, decode_series
 from .dynamics import dynamic_hidden_bias, dynamic_visible_bias
-from .model import ARCH_BERNOULLI, ModelParams, gibbs_step
+from .model import ARCH_BERNOULLI, ModelParams, gibbs_sweeps
 
 QUANTILE_LEVELS = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999)
 SQ_AUTOCORR_LAGS = tuple(range(1, 21))
@@ -52,8 +50,7 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
         bbias = dynamic_hidden_bias(window, m)
         if m.lag:
             v = window[-m.n_visible:]
-        for _ in range(burn_in + 1):
-            v, _h = gibbs_step(v, m, abias, bbias, rng)
+        v, _h = gibbs_sweeps(v, m, abias, bbias, rng, burn_in + 1)
         out[t] = v
         if m.lag:
             window = np.concatenate([window[m.n_visible:], v])
@@ -83,8 +80,8 @@ class SummaryStats:
 
 
 def _safe_correlation(matrix: np.ndarray) -> np.ndarray:
-    """Pearson matrix with NaN rows/columns for zero-variance assets."""
-    degenerate = matrix.std(axis=0) == 0.0
+    """Pearson matrix with NaN rows/columns for constant assets."""
+    degenerate = np.ptp(matrix, axis=0) == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.corrcoef(matrix, rowvar=False)
     corr = np.atleast_2d(corr)
@@ -107,6 +104,18 @@ def _autocorrelation(x: np.ndarray, lags) -> np.ndarray:
     return out
 
 
+def _shape_moments(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3.
+
+    Central moments are population (biased) ones. A constant column gets
+    NaN for both, even when its mean is off by rounding.
+    """
+    dev = matrix - matrix.mean(axis=0)
+    m2 = np.where(np.ptp(matrix, axis=0) == 0.0, np.nan, np.mean(dev**2, axis=0))
+    return (np.mean(dev**3, axis=0) / m2**1.5,
+            np.mean(dev**4, axis=0) / m2**2 - 3.0)
+
+
 def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
     """Describe each column of a (rows, assets) value matrix."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -120,12 +129,7 @@ def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
     levels = np.array(QUANTILE_LEVELS)
     lags = np.array(SQ_AUTOCORR_LAGS)
     sq = matrix**2
-    with warnings.catch_warnings():
-        # constant columns yield NaN moments by design; silence the
-        # precision-loss warning scipy raises on the way there
-        warnings.simplefilter("ignore", RuntimeWarning)
-        skewness = sstats.skew(matrix, axis=0)
-        excess_kurtosis = sstats.kurtosis(matrix, axis=0)
+    skewness, excess_kurtosis = _shape_moments(matrix)
     return SummaryStats(
         asset_names=list(asset_names),
         mean=matrix.mean(axis=0),

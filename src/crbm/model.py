@@ -17,17 +17,35 @@ Conventions:
   * sampling is a pure function of (inputs, generator state).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit as sigmoid
-from scipy.special import logsumexp
 
 ARCH_BERNOULLI = "bernoulli"
 ARCH_GAUSSIAN = "gaussian"
 
 # exact_marginals enumerates 2^n_visible states; keep that cheap
 ENUMERATION_LIMIT = 12
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function as 0.5 + 0.5 tanh(x / 2); saturates without overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+
+
+def logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) over all entries, shifted by the maximum."""
+    shift = np.max(x)
+    return shift + np.log(np.sum(np.exp(x - shift)))
+
+
+def _logit(u: np.ndarray) -> np.ndarray:
+    """log(u / (1 - u)) for uniforms in [0, 1); u = 0 maps to -inf.
+
+    Callers silence the divide warning of log(0).
+    """
+    return np.log(u / (1.0 - u))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -208,6 +226,60 @@ def visible_reconstruction(h: np.ndarray, m: ModelParams,
     return (rng.random(p.shape) < p).astype(np.float64)
 
 
+def _draw(rng, method: str, shape: tuple) -> np.ndarray:
+    """Variates of ``shape`` from one generator, or row c from ``rng[c]``."""
+    if isinstance(rng, list):
+        return np.stack([getattr(g, method)(shape[1:]) for g in rng])
+    return getattr(rng, method)(shape)
+
+
+def _bernoulli_logits(rng, lead: tuple, n_hidden: int, n_visible: int,
+                      steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logits of the hidden and visible uniforms of ``steps`` sweeps.
+
+    Shapes are (steps, *lead, n_hidden) and (steps, *lead, n_visible). numpy
+    takes doubles from a bit stream one after another, so one draw per
+    generator leaves it where per-sweep hidden-then-visible draws would.
+    """
+    if isinstance(rng, list):
+        lu = _logit(np.stack([g.random((steps, n_hidden + n_visible)) for g in rng], axis=1))
+        return lu[..., :n_hidden], lu[..., n_hidden:]
+    rows = math.prod(lead)
+    lu = _logit(rng.random((steps, rows * (n_hidden + n_visible))))
+    return (lu[:, :rows * n_hidden].reshape((steps, *lead, n_hidden)),
+            lu[:, rows * n_hidden:].reshape((steps, *lead, n_visible)))
+
+
+def gibbs_sweeps(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.ndarray,
+                 rng, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``steps`` block-Gibbs sweeps h ~ P(h|v), v' ~ P(v|h); return (v, h).
+
+    The one kernel behind gibbs_step, run_chains and generate. It checks
+    nothing: ``v`` is float64 of shape (..., n_visible), the biases are
+    resolved, and ``rng`` is a generator or a list with one per row of
+    ``v``. A unit turns on when its input exceeds logit(u) minus its bias,
+    which is the event u < sigmoid(bias + input), so no sigmoid is computed.
+    Each sweep consumes hidden uniforms, then visible uniforms (Bernoulli)
+    or standard normals (Gaussian, whose ziggurat takes a variable number of
+    words, so only Bernoulli sweeps are drawn ahead).
+    """
+    W, WT = m.W, m.W.T
+    h = np.zeros(v.shape[:-1] + (m.n_hidden,))
+    with np.errstate(divide="ignore"):
+        if m.arch == ARCH_BERNOULLI:
+            lu_h, lu_v = _bernoulli_logits(rng, v.shape[:-1], m.n_hidden,
+                                           m.n_visible, steps)
+            for th_h, th_v in zip(lu_h - bbias, lu_v - abias):
+                h = (np.dot(v, W) > th_h).astype(np.float64)
+                v = (np.dot(h, WT) > th_v).astype(np.float64)
+        else:
+            for _ in range(steps):
+                th_h = _logit(_draw(rng, "random", h.shape)) - bbias
+                h = (np.dot(v / m.sigma, W) > th_h).astype(np.float64)
+                v = abias + np.dot(h, WT) + _draw(rng, "standard_normal", v.shape)
+    return v, h
+
+
 def gibbs_step(v: np.ndarray, m: ModelParams,
                abias: np.ndarray | None = None,
                bbias: np.ndarray | None = None,
@@ -218,10 +290,11 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
     n_hidden uniforms for the hidden draw, then n_visible variates for the
     visible draw.
     """
-    p = hidden_activation_probs(v, m, bbias)
-    h = sample_hidden(p, rng)
-    v_next = visible_reconstruction(h, m, abias, rng, mode="sample")
-    return v_next, h
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1] != m.n_visible:
+        raise ValueError("state dimension inconsistent with model")
+    abias, bbias = _default_biases(m, abias, bbias)
+    return gibbs_sweeps(v, m, abias, bbias, rng, 1)
 
 
 def run_chains(v: np.ndarray, m: ModelParams,
@@ -234,23 +307,10 @@ def run_chains(v: np.ndarray, m: ModelParams,
     run alongside it. Returns the final (v, h) batch.
     """
     v = np.asarray(v, dtype=np.float64)
-    n_chains = v.shape[0]
-    if len(rngs) != n_chains:
+    if len(rngs) != v.shape[0]:
         raise ValueError("need one generator per chain")
     abias, bbias = _default_biases(m, abias, bbias)
-    h = np.zeros((n_chains, m.n_hidden))
-    for _ in range(steps):
-        p = sigmoid(bbias + _scaled_visible(v, m) @ m.W)
-        u = np.stack([g.random(m.n_hidden) for g in rngs])
-        h = (u < p).astype(np.float64)
-        center = abias + h @ m.W.T
-        if m.arch == ARCH_GAUSSIAN:
-            noise = np.stack([g.standard_normal(m.n_visible) for g in rngs])
-            v = center + noise
-        else:
-            u_v = np.stack([g.random(m.n_visible) for g in rngs])
-            v = (u_v < sigmoid(center)).astype(np.float64)
-    return v, h
+    return gibbs_sweeps(v, m, abias, bbias, list(rngs), steps)
 
 
 def enumerate_states(n: int) -> np.ndarray:

@@ -8,6 +8,9 @@ and an echo of the training configuration. Writing is deterministic:
 identical contents produce identical bytes.
 """
 
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -97,6 +100,14 @@ def save_model(mf: ModelFile, path) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
+    """Read n bytes, refusing sizes beyond the end of the file before reading.
+
+    Sizes come from the file itself, so this keeps a forged header from
+    asking for an allocation the file cannot back.
+    """
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise ValueError(f"truncated model file: {n} bytes declared, {remaining} left")
     data = fh.read(n)
     if len(data) != n:
         raise ValueError("truncated model file")
@@ -109,7 +120,7 @@ def _read_struct(fh, fmt: str):
 
 
 def _read_array(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64))
+    count = math.prod(shape) if isinstance(shape, tuple) else shape
     arr = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
     return arr.reshape(shape).astype(np.float64)
 
@@ -121,6 +132,8 @@ def _read_str(fh, width: str) -> str:
 
 def load_model(path) -> ModelFile:
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise ValueError(f"{path}: not a regular file")
         if _read_exact(fh, 4) != MAGIC:
             raise ValueError(f"{path}: not a model file (bad magic)")
         version = _read_struct(fh, "<I")

@@ -15,12 +15,12 @@ momentum with L2 decay on the interaction weights only.
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .data import EncodedSeries, MODE_BINARY
 from .dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias, \
     conditional_free_energy
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, _scaled_visible, run_chains
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, _scaled_visible, run_chains, \
+    sigmoid
 
 DEFAULT_LEARNING_RATE = {ARCH_GAUSSIAN: 1e-3, ARCH_BERNOULLI: 1e-2}
 

@@ -8,11 +8,13 @@ forms, so agreement between the two is evidence and not tautology.
 import csv
 import itertools
 import math
+import struct
 from datetime import date, timedelta
 
 import numpy as np
 
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams
+from crbm.model_io import FORMAT_VERSION, MAGIC
 
 
 def naive_energy(v, h, W, a, b, sigma, arch):
@@ -120,3 +122,18 @@ def write_dated_csv(path, values, start=date(2020, 1, 1), names=None):
         for t in range(values.shape[0]):
             writer.writerow([(start + timedelta(days=t)).isoformat()]
                             + [repr(float(x)) for x in values[t]])
+
+
+def write_forged_model(path, n_hidden=2**30):
+    """A 45-byte model file whose header declares ``n_hidden`` hidden units.
+
+    No assets, one visible unit, lag 0 and a z-score codec: the header and
+    the visible bias are well formed, then the hidden bias would need
+    8 * n_hidden bytes where three remain.
+    """
+    header = (MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<B", 0)
+              + struct.pack("<IIII", 0, 1, n_hidden, 0) + struct.pack("<q", 0))
+    payload = header + struct.pack("<B", 1) + struct.pack("<d", 0.0) + b"\0" * 3
+    assert len(payload) == 45
+    with open(path, "wb") as fh:
+        fh.write(payload)

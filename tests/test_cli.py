@@ -1,19 +1,32 @@
 """Command-line behavior: files written, error paths, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crbm
 from crbm.cli import main
 from crbm.model_io import load_model
+from helpers import write_forged_model
 
 FIXTURE = Path(__file__).parent / "data" / "toy.csv"
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def python(*argv):
+    """Run a fresh interpreter that imports this checkout's crbm."""
+    src = str(Path(crbm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def train_args(out_dir, config, extra=()):
@@ -123,6 +136,33 @@ class TestGenerate:
                    "--seed", "1", "--output-dir", tmp_path)
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_forged_model_header_is_a_one_line_error(self, tmp_path, capsys):
+        # the header declares 2**30 hidden units in a 45-byte file
+        write_forged_model(tmp_path / "forged.crbm", n_hidden=2**30)
+        code = run("generate", "--model", tmp_path / "forged.crbm", "--steps", "5",
+                   "--seed", "1", "--output-dir", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated model file") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        proc = python("-c", "import sys, crbm; "
+                            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_help_loads_no_scipy(self):
+        proc = python("-X", "importtime", "-m", "crbm", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "crbm.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 class TestEnergy:

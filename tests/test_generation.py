@@ -1,16 +1,19 @@
 """Autoregressive synthesis and the summary statistics block."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from crbm.data import BinaryCodec, MODE_BINARY, MODE_CONTINUOUS
+from crbm.dynamics import dynamic_hidden_bias, dynamic_visible_bias
 from crbm.generation import (
     QUANTILE_LEVELS,
     SQ_AUTOCORR_LAGS,
     generate,
     summary_stats,
 )
-from crbm.model import ARCH_GAUSSIAN, ModelParams
+from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, gibbs_step
 from helpers import random_bernoulli_model, random_gaussian_model
 
 
@@ -78,6 +81,35 @@ class TestGenerate:
         np.testing.assert_array_equal(
             np.vstack([head.matrix, tail.matrix]), full.matrix)
 
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_lagged_rollout_is_a_loop_of_gibbs_steps(self, make):
+        # generate equals, bit for bit, burn_in + 1 gibbs_step calls per row
+        # under the sliding window's dynamic biases, and leaves the generator
+        # in the same state: batching a row's draws consumes nothing extra
+        rng = np.random.default_rng(11)
+        nv, nh, lag, burn_in = 3, 4, 2, 4
+        m = make(rng, nv, nh, lag=lag)
+        m.A = rng.normal(size=(lag * nv, nv)) * 0.3
+        m.B = rng.normal(size=(lag * nv, nh)) * 0.3
+        seed_w = ((rng.random(lag * nv) < 0.5).astype(float)
+                  if m.arch == ARCH_BERNOULLI else rng.normal(size=lag * nv))
+
+        gen = np.random.default_rng(56)
+        out = generate(m, seed_w, 30, gen, burn_in=burn_in)
+
+        hand = np.random.default_rng(56)
+        window, rows = seed_w, []
+        for _ in range(30):
+            abias = dynamic_visible_bias(window, m)
+            bbias = dynamic_hidden_bias(window, m)
+            v = window[-nv:]
+            for _ in range(burn_in + 1):
+                v, _h = gibbs_step(v, m, abias, bbias, rng=hand)
+            rows.append(v)
+            window = np.concatenate([window[nv:], v])
+        np.testing.assert_array_equal(out.matrix, np.array(rows))
+        assert gen.bit_generator.state == hand.bit_generator.state
+
     def test_argument_validation(self):
         m = zero_gaussian(lag=1)
         with pytest.raises(ValueError, match="steps"):
@@ -129,6 +161,24 @@ class TestSummaryStats:
         x = rng.normal(size=scale.size) * scale
         s = summary_stats(x[:, None])
         assert s.sq_autocorr[0, 0] > 0.1
+
+    def test_shape_moments_match_closed_form(self):
+        # {0, 0, 0, 1} is a Bernoulli(1/4) sample: skewness 2 / sqrt(3),
+        # excess kurtosis -2/3; {-1, 1, -1, 1} is symmetric with m4 = m2^2
+        x = np.column_stack([[0.0, 0.0, 0.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])
+        s = summary_stats(x)
+        np.testing.assert_allclose(s.skewness, [2.0 / np.sqrt(3.0), 0.0],
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(s.excess_kurtosis, [-2.0 / 3.0, -2.0], rtol=1e-14)
+
+    def test_constant_column_moments_are_nan_without_warning(self):
+        x = np.column_stack([np.full(50, 0.1), np.zeros(50), np.arange(50.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summary_stats(x)
+        assert np.all(np.isnan(s.skewness[:2])) and np.all(np.isnan(s.excess_kurtosis[:2]))
+        assert np.isfinite(s.skewness[2]) and np.isfinite(s.excess_kurtosis[2])
+        assert np.all(np.isnan(s.correlation[:2, 2])) and s.correlation[0, 0] == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two rows"):

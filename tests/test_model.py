@@ -1,5 +1,8 @@
 """Energies, conditionals, Gibbs transitions, and the enumeration oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,12 @@ from crbm.model import (
     free_energy,
     free_energy_terms,
     gibbs_step,
+    gibbs_sweeps,
     hidden_activation_probs,
+    logsumexp,
     run_chains,
     sample_hidden,
+    sigmoid,
     softplus,
     state_index,
     visible_reconstruction,
@@ -39,6 +45,28 @@ class TestSoftplus:
         assert softplus(np.array([1e4])) == pytest.approx(1e4)
         assert softplus(np.array([-1e4])) == pytest.approx(0.0, abs=1e-300)
         assert np.all(np.isfinite(softplus(np.array([-1e308, 1e308]))))
+
+
+class TestSigmoid:
+    def test_matches_reference(self):
+        x = np.linspace(-30, 30, 1001)
+        np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)),
+                                   rtol=0, atol=1e-15)
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
+
+
+class TestLogSumExp:
+    def test_matches_naive_sum_far_from_zero(self):
+        # exp(1e3) overflows, so only the shifted form can reach the answer
+        x = np.array([0.3, -1.2, 2.0, 0.0, -7.5])
+        naive = math.log(sum(math.exp(t) for t in x))
+        assert logsumexp(x + 1e3) == pytest.approx(1e3 + naive, rel=0, abs=1e-12)
+        assert logsumexp(x - 1e3) == pytest.approx(naive - 1e3, rel=0, abs=1e-12)
 
 
 class TestModelParams:
@@ -234,6 +262,41 @@ class TestGibbs:
         with pytest.raises(ValueError, match="one generator per chain"):
             run_chains(np.zeros((3, 2)), m, None, None,
                        [np.random.default_rng(0)], steps=1)
+
+
+class ZeroUniforms:
+    """Generator stand-in whose uniforms and normals are all exactly zero."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_zero_uniform_turns_units_on(self, make):
+        # logit(0) = -inf lies below every finite input, so u = 0 means h = 1
+        m = make(np.random.default_rng(45), 3, 4, scale=5.0)
+        v0 = np.full((2, 3), -4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, h = gibbs_step(v0, m, rng=ZeroUniforms())
+        np.testing.assert_array_equal(h, np.ones((2, 4)))
+        if m.arch == ARCH_BERNOULLI:
+            np.testing.assert_array_equal(v, np.ones((2, 3)))
+        else:
+            np.testing.assert_allclose(v, np.tile(m.a + m.W @ np.ones(4), (2, 1)),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_hidden_frequencies_match_conditional(self, make):
+        m = make(np.random.default_rng(46), 3, 4, scale=1.5)
+        v = np.tile([1.0, 0.0, 1.0], (200_000, 1))
+        _, h = gibbs_sweeps(v, m, m.a, m.b, np.random.default_rng(47), 1)
+        np.testing.assert_allclose(h.mean(axis=0), hidden_activation_probs(v[0], m),
+                                   atol=5e-3)
 
 
 class TestEnumeration:

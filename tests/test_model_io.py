@@ -1,12 +1,15 @@
 """Binary model container: roundtrip fidelity and format guards."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crbm.data import BinaryCodec, ZScoreParams
 from crbm.model import ARCH_BERNOULLI
 from crbm.model_io import FORMAT_VERSION, MAGIC, ModelFile, load_model, save_model
-from helpers import random_bernoulli_model, random_gaussian_model
+from helpers import random_bernoulli_model, random_gaussian_model, write_forged_model
 
 
 def gaussian_file(rng, lag=2):
@@ -98,6 +101,29 @@ class TestFormatGuards:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
+
+    def test_forged_size_is_refused_before_reading(self, tmp_path):
+        # the header asks for 8 GiB of hidden biases; the loader must see
+        # that 3 bytes remain without allocating what the header declares
+        path = tmp_path / "forged.crbm"
+        write_forged_model(path, n_hidden=2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated.*8589934592 bytes declared, 3 left"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_non_regular_file_rejected(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            with pytest.raises(ValueError, match="not a regular file"):
+                load_model(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
 
 class TestModelFileValidation:
