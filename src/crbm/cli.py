@@ -140,6 +140,9 @@ def cmd_energy(args) -> int:
                     args.overlay_column],
                    [row + (aligned[i],) for i, row in enumerate(rows)])
         written.append(overlay_path)
+    if args.flag_window >= len(fe):
+        print(f"no row can be flagged: --flag-window {args.flag_window} is not below "
+              f"the {len(fe)} scored rows")
     print(f"scored {len(fe)} rows ({int(flags.sum())} flagged); wrote "
           + ", ".join(written))
     return 0

@@ -14,7 +14,8 @@ import numpy as np
 
 from .data import EncodedSeries, MODE_BINARY, MODE_CONTINUOUS, decode_series
 from .dynamics import dynamic_hidden_bias, dynamic_visible_bias
-from .model import ARCH_BERNOULLI, ModelParams, gibbs_sweeps
+from .model import (ARCH_BERNOULLI, READ_AHEAD_BYTES, ModelParams, gibbs_kernel, sweep_variates,
+                    sweep_width)
 
 QUANTILE_LEVELS = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999)
 SQ_AUTOCORR_LAGS = tuple(range(1, 21))
@@ -30,7 +31,11 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
     step freezes the window, starts the chain at its most recent row, runs
     burn_in + 1 block-Gibbs transitions, and appends the final state; row t
     is therefore a function of (window before t, generator state) only.
-    The returned series is in encoded units; pass ``codec`` so downstream
+    Uniforms are drawn for chunks of rows of at most READ_AHEAD_BYTES, in
+    the order gibbs_step would take them, and no more than the rows use.
+    A rollout that runs away is stopped at the end of the chunk where it
+    went non-finite, with a ValueError naming the first such step. The
+    returned series is in encoded units; pass ``codec`` so downstream
     decoding knows the bit layout of a binary model.
     """
     if steps < 1:
@@ -42,18 +47,29 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
         raise ValueError(
             f"seed window has {window.shape[0]} values, model expects {m.window_size}")
 
+    sweeps, width = burn_in + 1, sweep_width(m)
+    chunk = max(1, READ_AHEAD_BYTES // (8 * sweeps * width))
     # With no window to restart from, the chain persists across emissions.
     v = np.zeros(m.n_visible)
     out = np.empty((steps, m.n_visible))
-    for t in range(steps):
-        abias = dynamic_visible_bias(window, m)
-        bbias = dynamic_hidden_bias(window, m)
-        if m.lag:
-            v = window[-m.n_visible:]
-        v, _h = gibbs_sweeps(v, m, abias, bbias, rng, burn_in + 1)
-        out[t] = v
-        if m.lag:
-            window = np.concatenate([window[m.n_visible:], v])
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        lu_h, e_v = sweep_variates(rng.random((stop - start, sweeps, width)), m)
+        # a runaway Gaussian rollout overflows; it is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(start, stop):
+                abias = dynamic_visible_bias(window, m)
+                bbias = dynamic_hidden_bias(window, m)
+                if m.lag:
+                    v = window[-m.n_visible:]
+                v, _h = gibbs_kernel(v, m, abias, bbias, lu_h[t - start], e_v[t - start])
+                out[t] = v
+                if m.lag:
+                    window = np.concatenate([window[m.n_visible:], v])
+        finite = np.isfinite(out[start:stop]).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"rollout went non-finite at step "
+                             f"{start + int(np.argmin(finite))} of {steps}")
     mode = MODE_BINARY if m.arch == ARCH_BERNOULLI else MODE_CONTINUOUS
     return EncodedSeries(matrix=out, mode=mode, codec=codec)
 

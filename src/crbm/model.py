@@ -11,7 +11,9 @@ Conventions:
   * visible vectors have length n_visible (bits or z-scores), hidden
     vectors length n_hidden, entries of hidden states are {0, 1};
   * the Bernoulli energy is -a.v - b.h - v.W.h, the Gaussian energy is
-    sum((v - a)^2 / (2 sigma^2)) - b.h - (v / sigma).W.h;
+    sum((v - a)^2 / (2 sigma^2)) - b.h - (v / sigma).W.h, so given h a
+    Gaussian visible unit is normal with center a + sigma (W h) and scale
+    sigma;
   * free energy F(v) = -log sum_h exp(-E(v, h)), which factorizes into the
     visible term plus a softplus per hidden unit;
   * sampling is a pure function of (inputs, generator state).
@@ -27,6 +29,10 @@ ARCH_GAUSSIAN = "gaussian"
 
 # exact_marginals enumerates 2^n_visible states; keep that cheap
 ENUMERATION_LIMIT = 12
+
+# Bytes of uniforms in one read-ahead block of all persistent chains, and in
+# one chunk of generate's rows; larger blocks save few calls and raise peak RSS.
+READ_AHEAD_BYTES = 256 * 1024
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -62,7 +68,8 @@ class ModelParams:
     entries, oldest observation first) to visible and hidden bias shifts.
     With lag = 0 both are empty and the model is a static RBM. ``sigma``
     holds the Gaussian per-unit scales; inputs are z-scored so it stays at
-    one and is never learned, but the energy honors whatever it contains.
+    one and is never learned, but energy, sampler and gradients all honor
+    whatever it contains.
     """
 
     W: np.ndarray
@@ -204,10 +211,11 @@ def visible_reconstruction(h: np.ndarray, m: ModelParams,
                            mode: str = "mean") -> np.ndarray:
     """Conditional of the visible layer given a hidden state.
 
-    Gaussian: a unit-variance normal centered on abias + W h (the scales
-    are fixed at one for z-scored inputs). Bernoulli: per-unit probability
-    sigmoid(abias + W h). ``mode="mean"`` returns the center/probability;
-    ``mode="sample"`` draws from the conditional and requires ``rng``.
+    Gaussian: per unit a normal with center abias + sigma * (W h) and
+    standard deviation sigma, the conditional of the energy above.
+    Bernoulli: per-unit probability sigmoid(abias + W h). ``mode="mean"``
+    returns the center/probability; ``mode="sample"`` draws from the
+    conditional and requires ``rng``.
     """
     abias, _ = _default_biases(m, abias, None)
     h = np.asarray(h, dtype=np.float64)
@@ -215,69 +223,123 @@ def visible_reconstruction(h: np.ndarray, m: ModelParams,
         raise ValueError("hidden dimension inconsistent with model")
     if mode not in ("mean", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    center = abias + h @ m.W.T
+    wh = h @ m.W.T
     if m.arch == ARCH_GAUSSIAN:
+        center = abias + m.sigma * wh
         if mode == "mean":
             return center
-        return center + rng.standard_normal(center.shape)
-    p = sigmoid(center)
+        return center + m.sigma * rng.standard_normal(center.shape)
+    p = sigmoid(abias + wh)
     if mode == "mean":
         return p
     return (rng.random(p.shape) < p).astype(np.float64)
 
 
-def _draw(rng, method: str, shape: tuple) -> np.ndarray:
-    """Variates of ``shape`` from one generator, or row c from ``rng[c]``."""
-    if isinstance(rng, list):
-        return np.stack([getattr(g, method)(shape[1:]) for g in rng])
-    return getattr(rng, method)(shape)
+class ChainStreams:
+    """Per-chain generators, read ahead in blocks.
 
-
-def _bernoulli_logits(rng, lead: tuple, n_hidden: int, n_visible: int,
-                      steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Logits of the hidden and visible uniforms of ``steps`` sweeps.
-
-    Shapes are (steps, *lead, n_hidden) and (steps, *lead, n_visible). numpy
-    takes doubles from a bit stream one after another, so one draw per
-    generator leaves it where per-sweep hidden-then-visible draws would.
+    ``read(n)`` returns the next n uniforms of every chain, chain c's from
+    ``rngs[c]`` alone. numpy hands out doubles one after another, so a
+    chain's uniforms are the same whether read ahead or drawn directly, and
+    never depend on how many other chains there are. A refill draws one
+    block per chain, ``block_bytes`` for all chains together but at least
+    the read, so most reads call no generator; ``block_bytes=0`` draws
+    exactly what each read asks for.
     """
-    if isinstance(rng, list):
-        lu = _logit(np.stack([g.random((steps, n_hidden + n_visible)) for g in rng], axis=1))
-        return lu[..., :n_hidden], lu[..., n_hidden:]
-    rows = math.prod(lead)
-    lu = _logit(rng.random((steps, rows * (n_hidden + n_visible))))
-    return (lu[:, :rows * n_hidden].reshape((steps, *lead, n_hidden)),
-            lu[:, rows * n_hidden:].reshape((steps, *lead, n_visible)))
+
+    def __init__(self, rngs, block_bytes: int = READ_AHEAD_BYTES):
+        self.rngs = list(rngs)
+        self._block = block_bytes // (8 * max(len(self.rngs), 1))
+        self._buf = np.empty((len(self.rngs), 0))
+        self._pos = 0
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def read(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms of every chain, shape (n_chains, n)."""
+        if self._pos + n > self._buf.shape[1]:
+            left = self._buf.shape[1] - self._pos
+            buf = np.empty((len(self.rngs), max(self._block, n)))
+            buf[:, :left] = self._buf[:, self._pos:]
+            for rng, row in zip(self.rngs, buf):
+                rng.random(out=row[left:])
+            self._buf, self._pos = buf, 0
+        self._pos += n
+        return self._buf[:, self._pos - n:self._pos]
+
+
+def sweep_width(m: ModelParams) -> int:
+    """Uniforms one row takes per Gibbs sweep.
+
+    n_hidden for the hidden layer, then n_visible for a Bernoulli visible
+    layer, or 2 n_visible for a Gaussian one, whose normals come by
+    Box-Muller from the u1 of every unit followed by the u2 of every unit.
+    """
+    return m.n_hidden + (1 if m.arch == ARCH_BERNOULLI else 2) * m.n_visible
+
+
+def sweep_variates(u: np.ndarray, m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden logits and visible variates of uniforms of shape (..., sweep_width(m)).
+
+    The visible variates are logits for a Bernoulli layer and Box-Muller
+    normals z = sqrt(-2 log1p(-u1)) cos(2 pi u2) for a Gaussian one; z is
+    finite at u1 = 0, and logit(0) = -inf turns a unit on.
+    """
+    nh, nv = m.n_hidden, m.n_visible
+    with np.errstate(divide="ignore"):
+        if m.arch == ARCH_BERNOULLI:
+            lu = _logit(u)
+            return lu[..., :nh], lu[..., nh:]
+        lu_h = _logit(u[..., :nh])
+    u1, u2 = u[..., nh:nh + nv], u[..., nh + nv:]
+    return lu_h, np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def gibbs_kernel(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.ndarray,
+                 lu_h: np.ndarray, e_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run one block-Gibbs sweep per leading entry of the variates; return (v, h).
+
+    The one kernel behind gibbs_step, run_chains and generate. It checks
+    nothing: ``v`` is float64 of shape (..., n_visible), the biases are
+    resolved, and ``lu_h, e_v`` come from sweep_variates with shapes
+    (steps, *v.shape[:-1], ...). A unit turns on when its input exceeds
+    logit(u) minus its bias, which is the event u < sigmoid(bias + input),
+    so no sigmoid is computed. A Gaussian visible row is a + sigma * (W h + z).
+    """
+    W, WT = m.W, m.W.T
+    h = np.zeros(v.shape[:-1] + (m.n_hidden,))
+    if m.arch == ARCH_BERNOULLI:
+        for th_h, th_v in zip(lu_h - bbias, e_v - abias):
+            h = (np.dot(v, W) > th_h).astype(np.float64)
+            v = (np.dot(h, WT) > th_v).astype(np.float64)
+        return v, h
+    for th_h, z in zip(lu_h - bbias, e_v):
+        h = (np.dot(v / m.sigma, W) > th_h).astype(np.float64)
+        v = abias + m.sigma * (np.dot(h, WT) + z)
+    return v, h
 
 
 def gibbs_sweeps(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.ndarray,
                  rng, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Run ``steps`` block-Gibbs sweeps h ~ P(h|v), v' ~ P(v|h); return (v, h).
 
-    The one kernel behind gibbs_step, run_chains and generate. It checks
-    nothing: ``v`` is float64 of shape (..., n_visible), the biases are
-    resolved, and ``rng`` is a generator or a list with one per row of
-    ``v``. A unit turns on when its input exceeds logit(u) minus its bias,
-    which is the event u < sigmoid(bias + input), so no sigmoid is computed.
-    Each sweep consumes hidden uniforms, then visible uniforms (Bernoulli)
-    or standard normals (Gaussian, whose ziggurat takes a variable number of
-    words, so only Bernoulli sweeps are drawn ahead).
+    Draws the uniforms of all sweeps, then runs gibbs_kernel on their
+    sweep_variates. From a ChainStreams, row c reads chain c's stream sweep
+    after sweep. From one generator, each sweep takes the hidden uniforms of
+    all rows, then their visible ones, in one draw that leaves the generator
+    where per-sweep draws would.
     """
-    W, WT = m.W, m.W.T
-    h = np.zeros(v.shape[:-1] + (m.n_hidden,))
-    with np.errstate(divide="ignore"):
-        if m.arch == ARCH_BERNOULLI:
-            lu_h, lu_v = _bernoulli_logits(rng, v.shape[:-1], m.n_hidden,
-                                           m.n_visible, steps)
-            for th_h, th_v in zip(lu_h - bbias, lu_v - abias):
-                h = (np.dot(v, W) > th_h).astype(np.float64)
-                v = (np.dot(h, WT) > th_v).astype(np.float64)
-        else:
-            for _ in range(steps):
-                th_h = _logit(_draw(rng, "random", h.shape)) - bbias
-                h = (np.dot(v / m.sigma, W) > th_h).astype(np.float64)
-                v = abias + np.dot(h, WT) + _draw(rng, "standard_normal", v.shape)
-    return v, h
+    width, nh = sweep_width(m), m.n_hidden
+    if isinstance(rng, ChainStreams):
+        u = rng.read(steps * width).reshape(len(rng), steps, width).swapaxes(0, 1)
+    else:
+        lead = v.shape[:-1]
+        rows = math.prod(lead)
+        u = rng.random((steps, rows * width))
+        u = np.concatenate([u[:, :rows * nh].reshape((steps, *lead, nh)),
+                            u[:, rows * nh:].reshape((steps, *lead, width - nh))], axis=-1)
+    return gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))
 
 
 def gibbs_step(v: np.ndarray, m: ModelParams,
@@ -286,9 +348,9 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
                rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One block-Gibbs transition: sample h ~ P(h|v), then v' ~ P(v|h).
 
-    Returns (v', h). Per step the generator is consumed in a fixed order:
-    n_hidden uniforms for the hidden draw, then n_visible variates for the
-    visible draw.
+    Returns (v', h). The generator is consumed in a fixed order: n_hidden
+    uniforms per row for the hidden draw, then n_visible (Bernoulli) or
+    2 n_visible (Gaussian) uniforms per row for the visible draw.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:
@@ -299,18 +361,22 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
 
 def run_chains(v: np.ndarray, m: ModelParams,
                abias: np.ndarray | None, bbias: np.ndarray | None,
-               rngs: list[np.random.Generator], steps: int) -> tuple[np.ndarray, np.ndarray]:
+               rngs, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of independent Gibbs chains, one row per chain.
 
-    Chain c consumes only ``rngs[c]``, in the same per-step order as
-    gibbs_step, so the draws of one chain never depend on how many others
-    run alongside it. Returns the final (v, h) batch.
+    ``rngs`` is a list of one generator per chain, from which each call
+    draws exactly the uniforms it uses, or a ChainStreams that reads them
+    ahead. Either way chain c consumes only its own stream, in the same
+    per-step order as gibbs_step, so the draws of one chain never depend on
+    how many others run alongside it. Returns the final (v, h) batch.
     """
     v = np.asarray(v, dtype=np.float64)
     if len(rngs) != v.shape[0]:
         raise ValueError("need one generator per chain")
     abias, bbias = _default_biases(m, abias, bbias)
-    return gibbs_sweeps(v, m, abias, bbias, list(rngs), steps)
+    if not isinstance(rngs, ChainStreams):
+        rngs = ChainStreams(rngs, block_bytes=0)
+    return gibbs_sweeps(v, m, abias, bbias, rngs, steps)
 
 
 def enumerate_states(n: int) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 from .data import EncodedSeries, MODE_BINARY
 from .dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias, \
     conditional_free_energy
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, _scaled_visible, run_chains, \
-    sigmoid
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, _scaled_visible, \
+    run_chains, sigmoid
 
 DEFAULT_LEARNING_RATE = {ARCH_GAUSSIAN: 1e-3, ARCH_BERNOULLI: 1e-2}
 
@@ -173,11 +173,11 @@ class Velocity:
 @dataclass
 class PersistentChains:
     """Fantasy-particle state: per-chain visible vector, assigned window,
-    and private random stream."""
+    and private random stream, read ahead in blocks."""
 
     v: np.ndarray
     windows: np.ndarray
-    rngs: list
+    rngs: ChainStreams
 
     @property
     def n_chains(self) -> int:
@@ -213,7 +213,7 @@ def init_chains(windows: np.ndarray, targets: np.ndarray, n_chains: int,
     picker = np.random.default_rng(pick_seq)
     idx = picker.integers(0, targets.shape[0], size=n_chains)
     return PersistentChains(v=targets[idx].copy(), windows=windows[idx].copy(),
-                            rngs=spawn_rngs(streams_seq, n_chains))
+                            rngs=ChainStreams(spawn_rngs(streams_seq, n_chains)))
 
 
 def _visible_statistic(v, abias, m: ModelParams):
@@ -306,8 +306,8 @@ def reconstruction_mse(windows: np.ndarray, targets: np.ndarray, m: ModelParams)
     abias = dynamic_visible_bias(windows, m)
     bbias = dynamic_hidden_bias(windows, m)
     p = sigmoid(bbias + _scaled_visible(targets, m) @ m.W)
-    center = abias + p @ m.W.T
-    recon = center if m.arch == ARCH_GAUSSIAN else sigmoid(center)
+    wh = p @ m.W.T
+    recon = abias + m.sigma * wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
     return float(np.mean((targets - recon) ** 2))
 
 

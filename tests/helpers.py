@@ -72,6 +72,25 @@ def naive_marginals(W, a, b):
     return np.array(out)
 
 
+def naive_gaussian_hidden_marginals(W, a, b, sigma):
+    """Exact Gaussian-Bernoulli P(h) for every hidden state, indexed LSB-first.
+
+    Integrating v out of exp(-E(v, h)) leaves, per visible unit, a Gaussian
+    integral, so P(h) is proportional to
+    exp(b.h + sum_i a_i (W h)_i / sigma_i + |W h|^2 / 2).
+    """
+    nv, nh = len(a), len(b)
+    weights = [0.0] * (1 << nh)
+    for bits in itertools.product((0, 1), repeat=nh):
+        log_w = sum(b[j] * bits[j] for j in range(nh))
+        for i in range(nv):
+            wh = sum(W[i][j] * bits[j] for j in range(nh))
+            log_w += a[i] * wh / sigma[i] + 0.5 * wh * wh
+        weights[sum(bit << k for k, bit in enumerate(bits))] = math.exp(log_w)
+    total = sum(weights)
+    return np.array([w / total for w in weights])
+
+
 def naive_window(matrix, t, lag):
     """Flat history for row t: rows t-lag .. t-1, oldest first."""
     flat = []
@@ -109,6 +128,15 @@ def random_gaussian_model(rng, nv, nh, scale=0.8, lag=0):
                        a=rng.uniform(-0.5, 0.5, nv),
                        b=rng.uniform(-0.5, 0.5, nh),
                        sigma=np.ones(nv), arch=ARCH_GAUSSIAN, lag=lag)
+
+
+def runaway_gaussian_model(nv=2, nh=3):
+    """A lag-1 Gaussian model with A = 3 I, so v_t = 3 v_(t-1) + noise grows
+    without bound and overflows after some 650 rows."""
+    m = ModelParams(W=np.zeros((nv, nh)), a=np.zeros(nv), b=np.zeros(nh),
+                    sigma=np.ones(nv), arch=ARCH_GAUSSIAN, lag=1)
+    m.A = 3.0 * np.eye(nv)
+    return m
 
 
 def write_dated_csv(path, values, start=date(2020, 1, 1), names=None):

@@ -11,8 +11,9 @@ import pytest
 
 import crbm
 from crbm.cli import main
-from crbm.model_io import load_model
-from helpers import write_forged_model
+from crbm.data import ZScoreParams
+from crbm.model_io import ModelFile, load_model, save_model
+from helpers import runaway_gaussian_model, write_forged_model
 
 FIXTURE = Path(__file__).parent / "data" / "toy.csv"
 
@@ -147,6 +148,18 @@ class TestGenerate:
         assert err.startswith("error: truncated model file") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_runaway_rollout_is_a_one_line_error(self, tmp_path, capsys):
+        save_model(ModelFile(params=runaway_gaussian_model(), asset_names=["x", "y"],
+                             codec=ZScoreParams(np.zeros(2), np.ones(2)), seed=0,
+                             seed_window=np.ones(2)), tmp_path / "runaway.crbm")
+        code = run("generate", "--model", tmp_path / "runaway.crbm", "--steps", "5000",
+                   "--seed", "1", "--burn-in", "2", "--output-dir", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rollout went non-finite at step ")
+        assert err.endswith(" of 5000\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
@@ -178,6 +191,16 @@ class TestEnergy:
             assert float(r["total"]) == pytest.approx(
                 float(r["quadratic"]) + float(r["structural"]), abs=1e-9)
             assert r["flag"] in ("0", "1")
+
+    def test_window_too_long_to_flag_is_reported(self, trained, tmp_path, capsys):
+        # 198 scored rows: a 197-row baseline leaves one row to flag, 198 none
+        expected = "no row can be flagged: --flag-window 198 is not below the 198 scored rows"
+        for window, notice in ((197, False), (198, True)):
+            assert run("energy", "--model", trained / "model.crbm", "--input", FIXTURE,
+                       "--output-dir", tmp_path / "en", "--flag-window", window) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert (expected in lines) == notice
+            assert lines[-1].startswith("scored 198 rows (0 flagged)")
 
     def test_mean_total_matches_training_report(self, trained, tmp_path):
         out = tmp_path / "en"

@@ -13,8 +13,9 @@ from crbm.generation import (
     generate,
     summary_stats,
 )
-from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, gibbs_step
-from helpers import random_bernoulli_model, random_gaussian_model
+from crbm.model import (ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams,
+                        gibbs_step, sweep_width)
+from helpers import random_bernoulli_model, random_gaussian_model, runaway_gaussian_model
 
 
 def zero_gaussian(nv=2, nh=3, lag=0):
@@ -81,25 +82,33 @@ class TestGenerate:
         np.testing.assert_array_equal(
             np.vstack([head.matrix, tail.matrix]), full.matrix)
 
-    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
-    def test_lagged_rollout_is_a_loop_of_gibbs_steps(self, make):
+    @pytest.mark.parametrize("make, steps, burn_in, boundaries", [
+        pytest.param(random_bernoulli_model, 30, 4, 0, id="random_bernoulli_model"),
+        pytest.param(random_gaussian_model, 30, 4, 0, id="random_gaussian_model"),
+        pytest.param(random_bernoulli_model, 100, 99, 2, id="bernoulli_across_chunks"),
+        pytest.param(random_gaussian_model, 100, 99, 2, id="gaussian_across_chunks"),
+    ])
+    def test_lagged_rollout_is_a_loop_of_gibbs_steps(self, make, steps, burn_in,
+                                                     boundaries):
         # generate equals, bit for bit, burn_in + 1 gibbs_step calls per row
         # under the sliding window's dynamic biases, and leaves the generator
-        # in the same state: batching a row's draws consumes nothing extra
+        # in the same state: drawing chunks of rows consumes nothing extra
         rng = np.random.default_rng(11)
-        nv, nh, lag, burn_in = 3, 4, 2, 4
+        nv, nh, lag = 3, 4, 2
         m = make(rng, nv, nh, lag=lag)
+        chunk = READ_AHEAD_BYTES // (8 * (burn_in + 1) * sweep_width(m))
+        assert (steps - 1) // chunk >= boundaries
         m.A = rng.normal(size=(lag * nv, nv)) * 0.3
         m.B = rng.normal(size=(lag * nv, nh)) * 0.3
         seed_w = ((rng.random(lag * nv) < 0.5).astype(float)
                   if m.arch == ARCH_BERNOULLI else rng.normal(size=lag * nv))
 
         gen = np.random.default_rng(56)
-        out = generate(m, seed_w, 30, gen, burn_in=burn_in)
+        out = generate(m, seed_w, steps, gen, burn_in=burn_in)
 
         hand = np.random.default_rng(56)
         window, rows = seed_w, []
-        for _ in range(30):
+        for _ in range(steps):
             abias = dynamic_visible_bias(window, m)
             bbias = dynamic_hidden_bias(window, m)
             v = window[-nv:]
@@ -109,6 +118,18 @@ class TestGenerate:
             window = np.concatenate([window[nv:], v])
         np.testing.assert_array_equal(out.matrix, np.array(rows))
         assert gen.bit_generator.state == hand.bit_generator.state
+
+    def test_runaway_rollout_names_first_non_finite_step(self):
+        m = runaway_gaussian_model()
+        with pytest.raises(ValueError, match="non-finite") as err:
+            generate(m, np.ones(2), 5000, np.random.default_rng(12), burn_in=2)
+        step = int(str(err.value).split("step ")[1].split()[0])
+        # the same stream reproduces the rows before it, all finite, and
+        # fails at that step again when it is the last one asked for
+        head = generate(m, np.ones(2), step, np.random.default_rng(12), burn_in=2)
+        assert np.all(np.isfinite(head.matrix))
+        with pytest.raises(ValueError, match=f"step {step} of {step + 1}"):
+            generate(m, np.ones(2), step + 1, np.random.default_rng(12), burn_in=2)
 
     def test_argument_validation(self):
         m = zero_gaussian(lag=1)

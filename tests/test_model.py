@@ -9,6 +9,7 @@ import pytest
 from crbm.model import (
     ARCH_BERNOULLI,
     ARCH_GAUSSIAN,
+    ChainStreams,
     ModelParams,
     energy,
     enumerate_states,
@@ -29,6 +30,7 @@ from crbm.model import (
 from helpers import (
     naive_energy,
     naive_free_energy,
+    naive_gaussian_hidden_marginals,
     naive_hidden_probs,
     naive_marginals,
     random_bernoulli_model,
@@ -210,6 +212,18 @@ class TestConditionals:
         np.testing.assert_allclose(draws.mean(axis=0), center, atol=0.02)
         np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.03)
 
+    def test_gaussian_reconstruction_honours_sigma(self):
+        # the conditional of the energy: center a + sigma * (W h), scale sigma
+        rng = np.random.default_rng(36)
+        m = random_gaussian_model(rng, 3, 2)
+        m.sigma = np.array([0.5, 1.0, 2.0])
+        h = np.array([1.0, 1.0])
+        center = visible_reconstruction(h, m, mode="mean")
+        np.testing.assert_allclose(center, m.a + m.sigma * (m.W @ h), rtol=1e-12)
+        draws = visible_reconstruction(np.tile(h, (100_000, 1)), m, rng=rng,
+                                       mode="sample")
+        np.testing.assert_allclose(draws.std(axis=0), m.sigma, rtol=0.01)
+
     def test_bernoulli_reconstruction_is_sigmoid(self):
         rng = np.random.default_rng(34)
         m = random_bernoulli_model(rng, 3, 2)
@@ -257,6 +271,52 @@ class TestGibbs:
         narrow, _ = run_chains(v0[:3], m, None, None, rngs3, steps=11)
         np.testing.assert_array_equal(wide[:3], narrow)
 
+    def test_read_ahead_returns_each_generators_doubles_in_order(self):
+        # blocks of 10 doubles a chain: reads shorter and longer than a
+        # block, with and without leftovers, add up to one direct draw
+        streams = ChainStreams([np.random.default_rng(c) for c in range(3)],
+                               block_bytes=8 * 3 * 10)
+        sizes = (7, 21, 3, 10, 35, 1)
+        got = np.concatenate([streams.read(n) for n in sizes], axis=1)
+        want = [np.random.default_rng(c).random(sum(sizes)) for c in range(3)]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_read_ahead_in_uneven_pieces_matches_one_exact_run(self, make):
+        # blocks of 10 uniforms a chain end mid-sweep and fall short of most
+        # reads, yet each chain sees the uniforms of one exact draw
+        rng = np.random.default_rng(47)
+        m = make(rng, 3, 4)
+        abias, bbias = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+        v0 = rng.normal(size=(5, 3))
+        want = run_chains(v0, m, abias, bbias,
+                          [np.random.default_rng(c) for c in range(5)], steps=11)
+        streams = ChainStreams([np.random.default_rng(c) for c in range(5)],
+                               block_bytes=8 * 5 * 10)
+        v, h = v0, None
+        for steps in (1, 3, 2, 5):
+            v, h = run_chains(v, m, abias, bbias, streams, steps)
+        np.testing.assert_array_equal(v, want[0])
+        np.testing.assert_array_equal(h, want[1])
+
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_chain_count_does_not_perturb_read_ahead_chains(self, make):
+        # with one block size for all chains, 6 chains refill at other
+        # points than 3 do, and the first 3 still agree bit for bit
+        m = make(np.random.default_rng(43), 3, 2)
+
+        def streams(n):
+            return ChainStreams([np.random.default_rng(c) for c in
+                                 np.random.SeedSequence(17).spawn(6)[:n]],
+                                block_bytes=8 * 60)
+
+        v_wide, v_narrow = np.zeros((6, 3)), np.zeros((3, 3))
+        wide, narrow = streams(6), streams(3)
+        for steps in (4, 7):
+            v_wide, _ = run_chains(v_wide, m, None, None, wide, steps)
+            v_narrow, _ = run_chains(v_narrow, m, None, None, narrow, steps)
+        np.testing.assert_array_equal(v_wide[:3], v_narrow)
+
     def test_generator_count_mismatch(self):
         m = random_bernoulli_model(np.random.default_rng(44), 2, 2)
         with pytest.raises(ValueError, match="one generator per chain"):
@@ -297,6 +357,26 @@ class TestKernel:
         _, h = gibbs_sweeps(v, m, m.a, m.b, np.random.default_rng(47), 1)
         np.testing.assert_allclose(h.mean(axis=0), hidden_activation_probs(v[0], m),
                                    atol=5e-3)
+
+
+    def test_gaussian_sweeps_match_exact_hidden_marginal(self):
+        # with non-unit sigma the long-run hidden frequencies match P(h) of
+        # the energy with v integrated out, so sampler and energy describe
+        # one distribution and the Box-Muller noise has unit variance
+        rng = np.random.default_rng(3)
+        m = random_gaussian_model(rng, 3, 3)
+        m.sigma = rng.uniform(0.5, 2.0, 3)
+        p_true = naive_gaussian_hidden_marginals(m.W.tolist(), m.a.tolist(),
+                                                 m.b.tolist(), m.sigma.tolist())
+        gen = np.random.default_rng(49)
+        v = m.a + m.sigma * gen.standard_normal((20_000, 3))
+        counts = np.zeros(8)
+        for sweep in range(70):
+            v, h = gibbs_sweeps(v, m, m.a, m.b, gen, 1)
+            if sweep >= 20:
+                counts += np.bincount(state_index(h), minlength=8)
+        tv = 0.5 * float(np.abs(counts / counts.sum() - p_true).sum())
+        assert tv < 0.01
 
 
 class TestEnumeration:

@@ -15,6 +15,7 @@ from crbm.training import (
     init_chains,
     init_params,
     pcd_gradients,
+    reconstruction_mse,
     train,
 )
 from helpers import naive_hidden_probs, random_gaussian_model
@@ -236,6 +237,24 @@ class TestTrain:
             assert np.all(np.isfinite(curve))
         assert rep.params.arch == ARCH_GAUSSIAN
         assert rep.params.lag == 1
+
+    def test_gaussian_reconstruction_honours_sigma(self):
+        # the mean-field visible center is a + A w + sigma * (W p), as in the sampler
+        rng = np.random.default_rng(91)
+        m = random_gaussian_model(rng, 3, 4, lag=1)
+        m.sigma = np.array([0.5, 1.0, 2.0])
+        m.A = rng.normal(size=(3, 3)) * 0.2
+        m.B = rng.normal(size=(3, 4)) * 0.2
+        windows, targets = build_windows(rng.normal(size=(20, 3)), lag=1)
+        total = 0.0
+        for w, v in zip(windows, targets):
+            p = naive_hidden_probs(v, m.W, m.b + w @ m.B, m.sigma, m.arch)
+            for i in range(3):
+                center = m.a[i] + w @ m.A[:, i] + m.sigma[i] * sum(
+                    m.W[i, j] * p[j] for j in range(4))
+                total += (v[i] - center) ** 2
+        assert reconstruction_mse(windows, targets, m) == pytest.approx(
+            total / targets.size, rel=1e-12)
 
     def test_reconstruction_error_improves(self):
         cfg = TrainConfig(seed=4, epochs=25, lag=0, n_hidden=8, n_chains=16,
