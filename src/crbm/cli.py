@@ -122,6 +122,8 @@ def cmd_energy(args) -> int:
         raise ValueError(f"input asset columns {series.asset_names} do not match "
                          f"the model's {list(mf.asset_names)}")
     encoded = _encode_with(series, mf.codec)
+    if encoded.n_clipped:
+        print(f"clipped {encoded.n_clipped} cell(s) to the model's fitted range")
     fe = diagnostics.free_energy_series(encoded, mf.params)
     flags = diagnostics.regime_flags(fe.total, window=args.flag_window,
                                      threshold=args.flag_threshold)

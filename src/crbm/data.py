@@ -113,13 +113,15 @@ class EncodedSeries:
 
     ``matrix`` is T x D' where D' = n_assets * bits in binary mode and
     D' = n_assets in continuous mode. ``dates`` is optional provenance
-    carried along for diagnostics output.
+    carried along for diagnostics output. ``n_clipped`` counts the input
+    cells that binary encoding clipped to the codec's fitted range.
     """
 
     matrix: np.ndarray
     mode: str
     codec: object = None
     dates: list | None = None
+    n_clipped: int = 0
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -266,13 +268,20 @@ def decode_binary(bits: np.ndarray, asset: int, codec: BinaryCodec) -> float:
 
 
 def binarize(series: RawSeries, codec: BinaryCodec) -> EncodedSeries:
-    """Encode a whole series: T x (D * bits) matrix, bits grouped per asset."""
+    """Encode a whole series: T x (D * bits) matrix, bits grouped per asset.
+
+    Cells outside the codec's [minimum, maximum] clip to the nearest end
+    and are counted in ``n_clipped``.
+    """
     if series.n_assets != codec.n_assets:
         raise ValueError("series and codec disagree on asset count")
     idx = _bin_indices(series.values, codec.minimum, codec.maximum, codec.bits_per_asset)
     bits = _bits_msb_first(idx, codec.bits_per_asset)
     matrix = bits.reshape(series.n_rows, -1).astype(np.float64)
-    return EncodedSeries(matrix, MODE_BINARY, codec=codec, dates=list(series.dates))
+    n_clipped = int(np.count_nonzero((series.values < codec.minimum)
+                                     | (series.values > codec.maximum)))
+    return EncodedSeries(matrix, MODE_BINARY, codec=codec, dates=list(series.dates),
+                         n_clipped=n_clipped)
 
 
 def fit_zscore(train: RawSeries) -> ZScoreParams:

@@ -7,10 +7,13 @@ static RBM with per-date biases. Connections from the past are directed,
 so the window never depends on the target it conditions.
 """
 
+import math
+
 import numpy as np
 
 from .data import EncodedSeries
-from .model import ModelParams, free_energy, free_energy_terms
+from .model import ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams, _scaled_visible, \
+    _visible_term, sigmoid, softplus
 
 
 def build_windows(encoded, lag: int,
@@ -49,6 +52,11 @@ def build_windows(encoded, lag: int,
     return windows, targets
 
 
+def _check_window(window: np.ndarray, m: ModelParams) -> None:
+    if window.shape[-1] != m.window_size:
+        raise ValueError(f"window length {window.shape[-1]} != lag * n_visible = {m.window_size}")
+
+
 def dynamic_hidden_bias(window: np.ndarray, m: ModelParams) -> np.ndarray:
     """b + B' w for a single window or a batch of window rows.
 
@@ -58,8 +66,7 @@ def dynamic_hidden_bias(window: np.ndarray, m: ModelParams) -> np.ndarray:
     if m.B.size == 0:
         return m.b
     window = np.asarray(window, dtype=np.float64)
-    if window.shape[-1] != m.window_size:
-        raise ValueError(f"window length {window.shape[-1]} != lag * n_visible = {m.window_size}")
+    _check_window(window, m)
     return m.b + window @ m.B
 
 
@@ -68,18 +75,72 @@ def dynamic_visible_bias(window: np.ndarray, m: ModelParams) -> np.ndarray:
     if m.A.size == 0:
         return m.a
     window = np.asarray(window, dtype=np.float64)
-    if window.shape[-1] != m.window_size:
-        raise ValueError(f"window length {window.shape[-1]} != lag * n_visible = {m.window_size}")
+    _check_window(window, m)
     return m.a + window @ m.A
+
+
+def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
+               squared_error: bool = False):
+    """Free-energy terms of each row at its window's dynamic biases, in one pass.
+
+    Returns ``(visible_term, structural, sq_err)``: the terms of
+    model.free_energy_terms, and, when ``squared_error`` is set, the
+    per-cell squared error of the mean-field reconstruction v -> P(h | v)
+    -> E[v | h] (else None). ``v`` and ``window`` are single rows or
+    batches that broadcast against each other.
+
+    Rows go through in blocks of READ_AHEAD_BYTES of hidden pre-activation,
+    at least one row each. Each block computes b + B'w + scaled(v) W once
+    into a buffer that every block reuses, then reads both the softplus and
+    the sigmoid from it, so memory does not grow with rows x hidden units.
+    Row results equal the one-shot formula on the same BLAS build as long
+    as a block's matrix products round like the full ones.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    window = np.asarray(window, dtype=np.float64)
+    if v.shape[-1] != m.n_visible:
+        raise ValueError("state dimension inconsistent with model")
+    _check_window(window, m)
+    lead = np.broadcast_shapes(v.shape[:-1], window.shape[:-1])
+    n = math.prod(lead)
+    v = np.broadcast_to(v, lead + v.shape[-1:]).reshape(n, m.n_visible)
+    window = np.broadcast_to(window, lead + window.shape[-1:]).reshape(n, m.window_size)
+    block = max(READ_AHEAD_BYTES // (8 * m.n_hidden), 1)
+    pre_buf = np.empty((min(block, n), m.n_hidden))
+    work_buf = np.empty_like(pre_buf)
+    visible, structural = np.empty(n), np.empty(n)
+    sq_err = np.empty((n, m.n_visible)) if squared_error else None
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        pre, work, x, w = pre_buf[:hi - lo], work_buf[:hi - lo], v[lo:hi], window[lo:hi]
+        abias = dynamic_visible_bias(w, m)
+        if m.B.size:
+            np.matmul(w, m.B, out=pre)
+            pre += m.b
+            pre += np.matmul(_scaled_visible(x, m), m.W, out=work)
+        else:
+            np.matmul(_scaled_visible(x, m), m.W, out=pre)
+            pre += m.b
+        visible[lo:hi] = _visible_term(x, abias, m)
+        if squared_error:
+            wh = sigmoid(pre, out=work) @ m.W.T
+            recon = abias + m.sigma * wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
+            np.square(np.subtract(x, recon, out=sq_err[lo:hi]), out=sq_err[lo:hi])
+        np.sum(softplus(pre, out=work, overwrite_x=True), axis=-1, out=structural[lo:hi])
+    np.negative(structural, out=structural)
+    if squared_error:
+        sq_err = sq_err.reshape(lead + (m.n_visible,))
+    return visible.reshape(lead)[()], structural.reshape(lead)[()], sq_err
 
 
 def conditional_free_energy(v: np.ndarray, window: np.ndarray, m: ModelParams) -> np.ndarray:
     """Free energy of v evaluated at the window's dynamic biases."""
-    return free_energy(v, m, dynamic_visible_bias(window, m), dynamic_hidden_bias(window, m))
+    visible, structural, _ = score_rows(v, window, m)
+    return visible + structural
 
 
 def conditional_free_energy_terms(v: np.ndarray, window: np.ndarray,
                                   m: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """(visible term, structural term) at the window's dynamic biases."""
-    return free_energy_terms(v, m, dynamic_visible_bias(window, m),
-                             dynamic_hidden_bias(window, m))
+    visible, structural, _ = score_rows(v, window, m)
+    return visible, structural

@@ -30,14 +30,25 @@ ARCH_GAUSSIAN = "gaussian"
 # exact_marginals enumerates 2^n_visible states; keep that cheap
 ENUMERATION_LIMIT = 12
 
-# Bytes of uniforms in one read-ahead block of all persistent chains, and in
-# one chunk of generate's rows; larger blocks save few calls and raise peak RSS.
+# Bytes of uniforms in one read-ahead block of all persistent chains, in one
+# chunk of generate's rows, and of hidden pre-activations in one block of
+# scored rows; larger blocks save few calls and raise peak RSS.
 READ_AHEAD_BYTES = 256 * 1024
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as 0.5 + 0.5 tanh(x / 2); saturates without overflow."""
-    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 + 0.5 tanh(x / 2); saturates without overflow.
+
+    ``out`` (float64, the shape of x, may be x itself) receives the result
+    with no temporary array.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out if out.ndim else out[()]
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -54,10 +65,23 @@ def _logit(u: np.ndarray) -> np.ndarray:
     return np.log(u / (1.0 - u))
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe log(1 + exp(x)): max(x, 0) + log1p(exp(-|x|))."""
+def softplus(x: np.ndarray, out: np.ndarray | None = None,
+             overwrite_x: bool = False) -> np.ndarray:
+    """Overflow-safe log(1 + exp(x)): max(x, 0) + log1p(exp(-|x|)).
+
+    ``out`` (float64, the shape of x) receives the result; with
+    ``overwrite_x`` the float64 array x is used as scratch, so the two
+    buffers are all the call touches.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = np.maximum(x, 0.0, out=out)
+    tail = x if overwrite_x else np.empty(x.shape)
+    np.abs(x, out=tail)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out += tail
+    return out
 
 
 @dataclass
@@ -135,6 +159,17 @@ def _default_biases(m: ModelParams, abias, bbias):
             m.b if bbias is None else np.asarray(bbias, dtype=np.float64))
 
 
+def _visible_term(v: np.ndarray, abias: np.ndarray, m: ModelParams) -> np.ndarray:
+    """The part of energy and free energy that involves v alone, per row.
+
+    -abias.v for the Bernoulli architecture, sum((v - abias)^2 / 2 sigma^2)
+    for the Gaussian one.
+    """
+    if m.arch == ARCH_BERNOULLI:
+        return -np.sum(abias * v, axis=-1)
+    return np.sum((v - abias) ** 2 / (2.0 * m.sigma**2), axis=-1)
+
+
 def energy(v: np.ndarray, h: np.ndarray, m: ModelParams,
            abias: np.ndarray | None = None, bbias: np.ndarray | None = None) -> np.ndarray:
     """Joint energy E(v, h) under the effective biases.
@@ -149,11 +184,7 @@ def energy(v: np.ndarray, h: np.ndarray, m: ModelParams,
         raise ValueError("state dimensions inconsistent with model")
     interaction = np.sum((_scaled_visible(v, m) @ m.W) * h, axis=-1)
     hidden_term = np.sum(bbias * h, axis=-1)
-    if m.arch == ARCH_BERNOULLI:
-        visible_term = -np.sum(abias * v, axis=-1)
-    else:
-        visible_term = np.sum((v - abias) ** 2 / (2.0 * m.sigma**2), axis=-1)
-    return visible_term - hidden_term - interaction
+    return _visible_term(v, abias, m) - hidden_term - interaction
 
 
 def free_energy_terms(v: np.ndarray, m: ModelParams,
@@ -173,20 +204,16 @@ def free_energy_terms(v: np.ndarray, m: ModelParams,
     if v.shape[-1] != m.n_visible:
         raise ValueError("state dimension inconsistent with model")
     pre = bbias + _scaled_visible(v, m) @ m.W
-    structural = -np.sum(softplus(pre), axis=-1)
-    if m.arch == ARCH_BERNOULLI:
-        visible_term = -np.sum(abias * v, axis=-1)
-    else:
-        visible_term = np.sum((v - abias) ** 2 / (2.0 * m.sigma**2), axis=-1)
-    return visible_term, structural
+    structural = -np.sum(softplus(pre, overwrite_x=True), axis=-1)
+    return _visible_term(v, abias, m), structural
 
 
 def free_energy(v: np.ndarray, m: ModelParams,
                 abias: np.ndarray | None = None,
                 bbias: np.ndarray | None = None) -> np.ndarray:
     """Closed-form F(v) = -log sum_h exp(-E(v, h))."""
-    visible_term, structural = free_energy_terms(v, m, abias, bbias)
-    return visible_term + structural
+    visible, structural = free_energy_terms(v, m, abias, bbias)
+    return visible + structural
 
 
 def hidden_activation_probs(v: np.ndarray, m: ModelParams,

@@ -17,16 +17,27 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import EncodedSeries, MODE_BINARY
-from .dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias, \
-    conditional_free_energy
+from .dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias, score_rows
 from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, _scaled_visible, \
     run_chains, sigmoid
+
+PARAM_NAMES = ("W", "a", "b", "A", "B")
 
 DEFAULT_LEARNING_RATE = {ARCH_GAUSSIAN: 1e-3, ARCH_BERNOULLI: 1e-2}
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a gradient, parameter, or loss turns non-finite."""
+    """Raised when a gradient, parameter, or loss turns non-finite.
+
+    The message names the first non-finite tensor; ``train`` adds the epoch
+    and the batch.
+    """
+
+
+def _non_finite(tensors) -> str | None:
+    """Name of the first of W, a, b, A, B of ``tensors`` with a non-finite entry."""
+    return next((name for name in PARAM_NAMES
+                 if not np.all(np.isfinite(getattr(tensors, name)))), None)
 
 
 @dataclass
@@ -268,7 +279,7 @@ def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
         mean_hidden=p_d.mean(axis=0),
     )
     if not np.all(np.isfinite(grads.flat())):
-        raise TrainingDiverged("non-finite gradient; lower the learning rate or check the data")
+        raise TrainingDiverged(f"non-finite gradient of {_non_finite(grads)}")
     return grads, chains
 
 
@@ -295,20 +306,15 @@ def apply_update(m: ModelParams, grads: GradientBundle, velocity: Velocity,
     m.b += velocity.b
     m.A += velocity.A
     m.B += velocity.B
-    for arr in (m.W, m.a, m.b, m.A, m.B):
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDiverged("non-finite parameter after update")
+    name = _non_finite(m)
+    if name is not None:
+        raise TrainingDiverged(f"non-finite parameter {name} after update")
     return m, velocity
 
 
 def reconstruction_mse(windows: np.ndarray, targets: np.ndarray, m: ModelParams) -> float:
     """Mean squared error of one hidden-then-visible mean-field pass."""
-    abias = dynamic_visible_bias(windows, m)
-    bbias = dynamic_hidden_bias(windows, m)
-    p = sigmoid(bbias + _scaled_visible(targets, m) @ m.W)
-    wh = p @ m.W.T
-    recon = abias + m.sigma * wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
-    return float(np.mean((targets - recon) ** 2))
+    return float(np.mean(score_rows(targets, windows, m, squared_error=True)[2]))
 
 
 def train(encoded: EncodedSeries, cfg: TrainConfig) -> TrainReport:
@@ -342,14 +348,22 @@ def train(encoded: EncodedSeries, cfg: TrainConfig) -> TrainReport:
         order = shuffle_rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            grads, chains = pcd_gradients((windows[sel], targets[sel]), chains, m,
-                                          cfg, assign_rng)
-            m, velocity = apply_update(m, grads, velocity, cfg)
-        recon_curve[epoch] = reconstruction_mse(windows, targets, m)
-        fe_all = conditional_free_energy(targets, windows, m)
+            try:
+                grads, chains = pcd_gradients((windows[sel], targets[sel]), chains, m,
+                                              cfg, assign_rng)
+                m, velocity = apply_update(m, grads, velocity, cfg)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(
+                    f"{exc} at epoch {epoch}, batch {start // cfg.batch_size}; "
+                    "lower the learning rate or check the data") from None
+        # one blocked pass gives the reconstruction error and the free energies
+        visible, structural, sq_err = score_rows(targets, windows, m, squared_error=True)
+        recon_curve[epoch] = float(np.mean(sq_err))
+        fe_all = visible + structural
         fe_train_curve[epoch] = float(np.mean(fe_all))
         fe_holdout_curve[epoch] = (float(np.mean(fe_all[n_train:])) if n_holdout
                                    else fe_train_curve[epoch])
         if not (np.isfinite(recon_curve[epoch]) and np.isfinite(fe_train_curve[epoch])):
-            raise TrainingDiverged(f"non-finite monitor at epoch {epoch}")
+            what = "free energy" if np.isfinite(recon_curve[epoch]) else "reconstruction error"
+            raise TrainingDiverged(f"non-finite monitor {what} at epoch {epoch}")
     return TrainReport(recon_curve, fe_train_curve, fe_holdout_curve, m)

@@ -249,6 +249,33 @@ class TestEnergy:
         assert code == 1
         assert "VIX" in capsys.readouterr().err
 
+    def bernoulli_model(self, tmp_path, config_path):
+        out = tmp_path / "bern"
+        assert run("train", "--input", FIXTURE, "--arch", "bernoulli", "--seed", "5",
+                   "--output-dir", out, "--config", config_path, "--bits", "4") == 0
+        return out / "model.crbm"
+
+    def test_clipped_cells_are_counted(self, tmp_path, config_path, capsys):
+        model = self.bernoulli_model(tmp_path, config_path)
+        lines = FIXTURE.read_text().splitlines()
+        date, *cells = lines[10].split(",")
+        lines[10] = ",".join([date, "1e6", cells[1], "-1e6"])
+        shocked = tmp_path / "shocked.csv"
+        shocked.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("energy", "--model", model, "--input", shocked,
+                   "--output-dir", tmp_path / "en") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "clipped 2 cell(s) to the model's fitted range" in out
+
+    def test_no_clip_line_inside_the_fitted_range(self, tmp_path, config_path, capsys):
+        model = self.bernoulli_model(tmp_path, config_path)
+        capsys.readouterr()
+        assert run("energy", "--model", model, "--input", FIXTURE,
+                   "--output-dir", tmp_path / "en") == 0
+        out = capsys.readouterr().out
+        assert "clipped" not in out and out.startswith("scored 198 rows")
+
     def test_empty_csv_errors(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -175,6 +175,15 @@ class TestBinaryCodec:
         assert enc.matrix.shape == (40, 21)
         assert enc.dates == toy_series.dates
 
+    def test_binarize_counts_clipped_cells(self):
+        codec = BinaryCodec([0.0, -1.0], [1.0, 1.0], bits_per_asset=3)
+        days = [date(2020, 1, d) for d in (1, 2, 3)]
+        # the ends of the range encode exactly; only cells beyond them clip
+        values = [[0.0, 1.0], [1.0, -1.5], [7.0, 2.0]]
+        enc = binarize(RawSeries(days, values, ["x", "y"]), codec)
+        assert enc.n_clipped == 3
+        assert binarize(RawSeries(days, np.zeros((3, 2)), ["x", "y"]), codec).n_clipped == 0
+
 
 class TestZScore:
     def test_population_std(self, toy_series):

@@ -1,5 +1,6 @@
 """Free-energy scoring, decomposition, regime flags, and fidelity measures."""
 
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -84,6 +85,20 @@ class TestFreeEnergySeries:
         enc = EncodedSeries(rng.normal(size=(6, 2)), MODE_CONTINUOUS)
         with pytest.raises(ValueError, match="label count"):
             free_energy_series(enc, m, labels=["a", "b"])
+
+    def test_memory_does_not_grow_with_rows_times_hidden(self):
+        # one-shot scoring of 20,000 rows x 64 hidden units peaks near 60 MiB
+        rng = np.random.default_rng(106)
+        m = crbm(rng, nv=3, nh=64, lag=2)
+        enc = EncodedSeries(rng.normal(size=(20_000, 3)), MODE_CONTINUOUS)
+        tracemalloc.start()
+        try:
+            fe = free_energy_series(enc, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fe) == 19_998
+        assert peak < 8 << 20
 
 
 class TestRegimeFlags:

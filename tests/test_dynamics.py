@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crbm.data import EncodedSeries, MODE_CONTINUOUS
 from crbm.dynamics import (
@@ -10,9 +11,11 @@ from crbm.dynamics import (
     conditional_free_energy_terms,
     dynamic_hidden_bias,
     dynamic_visible_bias,
+    score_rows,
 )
-from crbm.model import free_energy, free_energy_terms
-from helpers import naive_window, random_gaussian_model
+from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, free_energy, \
+    free_energy_terms, sigmoid
+from helpers import naive_window, random_bernoulli_model, random_gaussian_model
 
 
 def crbm_model(rng, nv=3, nh=4, lag=2):
@@ -125,3 +128,94 @@ class TestConditionalFreeEnergy:
         for got, want in zip(conditional_free_energy_terms(v, w, m),
                              free_energy_terms(v, m)):
             np.testing.assert_array_equal(got, want)
+
+
+def block_rows(n_hidden):
+    return max(READ_AHEAD_BYTES // (8 * n_hidden), 1)
+
+
+def scoring_case(rng, arch, n_rows, n_hidden, lag, nv=3):
+    """A model with autoregressive weights and (v, window) rows to score."""
+    make = random_bernoulli_model if arch == ARCH_BERNOULLI else random_gaussian_model
+    m = make(rng, nv, n_hidden, scale=0.3, lag=lag)
+    m.A = rng.normal(size=(lag * nv, nv)) * 0.3
+    m.B = rng.normal(size=(lag * nv, n_hidden)) * 0.3
+    if arch == ARCH_GAUSSIAN:
+        m.sigma = rng.uniform(0.5, 2.0, nv)
+        v = rng.normal(size=(n_rows, nv))
+    else:
+        v = (rng.random((n_rows, nv)) < 0.5).astype(float)
+    return m, v, rng.normal(size=(n_rows, lag * nv))
+
+
+def one_shot(v, w, m):
+    """Free-energy terms and mean-field squared error over the full arrays at once."""
+    abias, bbias = dynamic_visible_bias(w, m), dynamic_hidden_bias(w, m)
+    visible, structural = free_energy_terms(v, m, abias, bbias)
+    scaled = v if m.arch == ARCH_BERNOULLI else v / m.sigma
+    wh = sigmoid(bbias + scaled @ m.W) @ m.W.T
+    recon = abias + m.sigma * wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
+    return visible, structural, (v - recon) ** 2
+
+
+def assert_matches_one_shot(v, w, m):
+    got = score_rows(v, w, m, squared_error=True)
+    for g, want in zip(got, one_shot(v, w, m)):
+        assert np.shape(g) == np.shape(want)
+        np.testing.assert_allclose(g, want, rtol=1e-12)
+
+
+class TestBlockedScoring:
+    # 256 hidden units make 128-row blocks
+    N_HIDDEN = 256
+    BLOCK = block_rows(N_HIDDEN)
+
+    @pytest.mark.parametrize("arch", [ARCH_BERNOULLI, ARCH_GAUSSIAN])
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_match_one_shot(self, arch, lag, n_rows):
+        assert self.BLOCK == 128
+        rng = np.random.default_rng(1000 + n_rows + 7 * lag)
+        m, v, w = scoring_case(rng, arch, n_rows, self.N_HIDDEN, lag)
+        assert_matches_one_shot(v, w, m)
+
+    @pytest.mark.parametrize("arch", [ARCH_BERNOULLI, ARCH_GAUSSIAN])
+    @pytest.mark.parametrize("lag", [0, 2])
+    def test_single_window(self, arch, lag):
+        rng = np.random.default_rng(71 + lag)
+        m, v, w = scoring_case(rng, arch, 1, self.N_HIDDEN, lag)
+        visible, structural, sq_err = score_rows(v[0], w[0], m, squared_error=True)
+        assert np.ndim(visible) == np.ndim(structural) == 0
+        assert sq_err.shape == (m.n_visible,)
+        assert_matches_one_shot(v[0], w[0], m)
+        want = conditional_free_energy(v, w, m)[0]
+        assert conditional_free_energy(v[0], w[0], m) == pytest.approx(want, rel=1e-12)
+
+    def test_block_holds_at_least_one_row(self):
+        # 40,000 hidden units would leave less than one row per block
+        rng = np.random.default_rng(72)
+        m, v, w = scoring_case(rng, ARCH_GAUSSIAN, 3, 40_000, 1, nv=2)
+        assert READ_AHEAD_BYTES // (8 * m.n_hidden) == 0
+        assert_matches_one_shot(v, w, m)
+
+    def test_rows_broadcast_against_one_window(self):
+        rng = np.random.default_rng(73)
+        m, v, w = scoring_case(rng, ARCH_GAUSSIAN, 5, 6, 2)
+        one = np.broadcast_to(w[0], w.shape)
+        for got, want in zip(conditional_free_energy_terms(v, w[0], m),
+                             conditional_free_energy_terms(v, one, m)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_window_length_validated(self):
+        m, v, w = scoring_case(np.random.default_rng(74), ARCH_GAUSSIAN, 4, 5, 2)
+        with pytest.raises(ValueError, match="window length"):
+            score_rows(v, w[:, :-1], m)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data(), n_hidden=st.integers(1, 300), lag=st.integers(0, 3),
+           arch=st.sampled_from([ARCH_BERNOULLI, ARCH_GAUSSIAN]), seed=st.integers(0, 2**32 - 1))
+    def test_property_blocks_match_one_shot(self, data, n_hidden, lag, arch, seed):
+        n_rows = data.draw(st.integers(1, 3 * block_rows(n_hidden)), label="n_rows")
+        rng = np.random.default_rng(seed)
+        m, v, w = scoring_case(rng, arch, n_rows, n_hidden, lag, nv=int(rng.integers(1, 5)))
+        assert_matches_one_shot(v, w, m)

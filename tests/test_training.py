@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from crbm.data import EncodedSeries, MODE_BINARY, MODE_CONTINUOUS
-from crbm.dynamics import build_windows
-from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN
+from crbm.dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias
+from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, free_energy, sigmoid
 from crbm.training import (
     GradientBundle,
     TrainConfig,
@@ -160,6 +160,13 @@ class TestPcdGradients:
             pcd_gradients((windows, targets * 1e308), chains, m, cfg,
                           np.random.default_rng(0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_names_the_tensor(self, setup):
+        m, windows, targets, cfg, chains = setup
+        with pytest.raises(TrainingDiverged, match=r"^non-finite gradient of [WabAB]$"):
+            pcd_gradients((windows, targets * 1e308), chains, m, cfg,
+                          np.random.default_rng(0))
+
 
 class TestApplyUpdate:
     def make(self, rng):
@@ -203,6 +210,13 @@ class TestApplyUpdate:
         apply_update(m, grads, vel, cfg)
         want = b0 + grads.b + 2.0 * (0.2 - grads.mean_hidden)
         np.testing.assert_allclose(m.b, want, atol=1e-12)
+
+    def test_non_finite_parameter_is_named(self):
+        rng = np.random.default_rng(85)
+        m, grads, vel = self.make(rng)
+        grads.A[1, 2] = np.inf
+        with pytest.raises(TrainingDiverged, match="^non-finite parameter A after update$"):
+            apply_update(m, grads, vel, TrainConfig(seed=1, learning_rate=0.1))
 
     def test_in_place_update(self):
         rng = np.random.default_rng(84)
@@ -280,6 +294,34 @@ class TestTrain:
         cfg = TrainConfig(seed=4, epochs=1, lag=1, holdout_fraction=0.75)
         with pytest.raises(ValueError, match="holdout"):
             train(self.gaussian_series(n=3), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_tensor_epoch_and_batch(self):
+        cfg = TrainConfig(seed=4, epochs=50, lag=1, n_hidden=4, n_chains=4,
+                          batch_size=16, learning_rate=1e100, momentum=0.9)
+        with pytest.raises(TrainingDiverged, match=r"^non-finite (gradient of|parameter) "
+                                                   r"[WabAB]\b.* at epoch \d+, batch \d+;"):
+            train(self.gaussian_series(n=100), cfg)
+
+    def test_curves_equal_one_shot_monitor(self):
+        # 256 hidden units make 128-row blocks; 448 pairs span four of them
+        n_hidden = 256
+        assert READ_AHEAD_BYTES // (8 * n_hidden) == 128
+        series = self.gaussian_series(n=450)
+        cfg = TrainConfig(seed=4, epochs=2, lag=2, n_hidden=n_hidden, n_chains=8,
+                          batch_size=64)
+        rep = train(series, cfg)
+        m = rep.params
+        windows, targets = build_windows(series, cfg.lag)
+        assert targets.shape[0] >= 3 * 128
+        abias, bbias = dynamic_visible_bias(windows, m), dynamic_hidden_bias(windows, m)
+        recon = abias + m.sigma * (sigmoid(bbias + targets / m.sigma @ m.W) @ m.W.T)
+        assert rep.recon_mse[-1] == pytest.approx(np.mean((targets - recon) ** 2), rel=1e-12)
+        assert reconstruction_mse(windows, targets, m) == rep.recon_mse[-1]
+        fe = free_energy(targets, m, abias, bbias)
+        n_train = targets.shape[0] - int(round(cfg.holdout_fraction * targets.shape[0]))
+        assert rep.free_energy_train[-1] == pytest.approx(np.mean(fe), rel=1e-12)
+        assert rep.free_energy_holdout[-1] == pytest.approx(np.mean(fe[n_train:]), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_absurd_learning_rate_diverges(self):
