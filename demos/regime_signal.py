@@ -7,8 +7,9 @@ free energy cross the rolling flag threshold exactly there.
 
 import numpy as np
 
-from crbm.data import EncodedSeries, MODE_CONTINUOUS
+from crbm.data import EncodedSeries
 from crbm.diagnostics import free_energy_series, regime_flags
+from crbm.model import ARCH_GAUSSIAN
 from crbm.training import TrainConfig, train
 
 rng = np.random.default_rng(3)
@@ -16,14 +17,14 @@ L = np.linalg.cholesky(np.array([[1.0, 0.7], [0.7, 1.0]]))
 
 calm = 2.0 * (rng.standard_normal((4000, 2)) @ L.T)
 cfg = TrainConfig(seed=11, epochs=80, lag=5, n_hidden=16)
-report = train(EncodedSeries(calm, MODE_CONTINUOUS), cfg)
+report = train(EncodedSeries(calm, ARCH_GAUSSIAN), cfg)
 
 # continuation: 600 calm rows, then a 15-row stress burst, then calm again
 cont = 2.0 * (rng.standard_normal((900, 2)) @ L.T)
 burst = slice(600, 615)
 cont[burst] = 6.0 * rng.standard_normal((15, 2))  # wider and uncorrelated
 
-fe = free_energy_series(EncodedSeries(cont, MODE_CONTINUOUS), report.params)
+fe = free_energy_series(EncodedSeries(cont, ARCH_GAUSSIAN), report.params)
 flags = regime_flags(fe.total, window=120, threshold=4.0)
 
 flagged = np.flatnonzero(flags)

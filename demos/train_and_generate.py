@@ -7,9 +7,10 @@ after decoding.
 
 import numpy as np
 
-from crbm.data import EncodedSeries, MODE_CONTINUOUS
+from crbm.data import EncodedSeries
 from crbm.diagnostics import correlation_fidelity
 from crbm.generation import generate, summary_stats
+from crbm.model import ARCH_GAUSSIAN
 from crbm.training import TrainConfig, train
 
 rng = np.random.default_rng(42)
@@ -18,7 +19,7 @@ L = np.linalg.cholesky(np.array([[1.0, 0.8], [0.8, 1.0]]))
 data = 3.0 * (rng.standard_normal((T, 2)) @ L.T)
 
 cfg = TrainConfig(seed=7, epochs=120, lag=5, n_hidden=16, batch_size=64)
-report = train(EncodedSeries(data, MODE_CONTINUOUS), cfg)
+report = train(EncodedSeries(data, ARCH_GAUSSIAN), cfg)
 print(f"trained {cfg.epochs} epochs; final reconstruction mse "
       f"{report.recon_mse[-1]:.4f}")
 print(f"free energy train/holdout at last epoch: "

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import data, diagnostics, generation, model_io, training
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN
 
 SYNTHETIC_FILENAME = "synthetic.csv"
 REPORT_FILENAME = "train_report.csv"
@@ -62,7 +63,7 @@ def cmd_train(args) -> int:
         train_split, _future = data.chrono_split(series, args.split_date)
     else:
         train_split = series
-    if args.arch == "bernoulli":
+    if args.arch == ARCH_BERNOULLI:
         codec = data.fit_binary_codec(train_split, bits=args.bits)
     else:
         codec = data.fit_zscore(train_split)
@@ -217,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit a model on the training split")
     p_train.add_argument("--input", required=True, help="dated multi-asset CSV")
-    p_train.add_argument("--arch", required=True, choices=["bernoulli", "gaussian"],
-                         help="bernoulli trains on bit encodings, gaussian on z-scores")
+    p_train.add_argument("--arch", required=True, choices=[ARCH_BERNOULLI, ARCH_GAUSSIAN],
+                         help=f"{ARCH_BERNOULLI} trains on bit encodings, "
+                              f"{ARCH_GAUSSIAN} on z-scores")
     p_train.add_argument("--seed", required=True, type=int,
                          help="training seed (no default on purpose)")
     p_train.add_argument("--output-dir", required=True,
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the whole series)")
     p_train.add_argument("--lag", type=int, help="history window length in rows")
     p_train.add_argument("--bits", type=int, default=16,
-                         help="bits per asset for the bernoulli architecture")
+                         help=f"bits per asset for the {ARCH_BERNOULLI} architecture")
     p_train.add_argument("--date-column", help="date column name (default: first)")
     p_train.set_defaults(func=cmd_train)
 

@@ -14,8 +14,7 @@ from datetime import date as Date
 
 import numpy as np
 
-MODE_BINARY = "binary"
-MODE_CONTINUOUS = "continuous"
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN
 
 
 @dataclass
@@ -111,14 +110,15 @@ class ZScoreParams:
 class EncodedSeries:
     """Model-ready observation matrix plus the codec needed to invert it.
 
-    ``matrix`` is T x D' where D' = n_assets * bits in binary mode and
-    D' = n_assets in continuous mode. ``dates`` is optional provenance
+    ``arch`` is the architecture the rows feed: ``matrix`` is T x D' where
+    D' = n_assets * bits of 0/1 entries for ARCH_BERNOULLI and D' = n_assets
+    z-scores for ARCH_GAUSSIAN. ``dates`` is optional provenance
     carried along for diagnostics output. ``n_clipped`` counts the input
     cells that binary encoding clipped to the codec's fitted range.
     """
 
     matrix: np.ndarray
-    mode: str
+    arch: str
     codec: object = None
     dates: list | None = None
     n_clipped: int = 0
@@ -127,12 +127,12 @@ class EncodedSeries:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        if self.mode not in (MODE_BINARY, MODE_CONTINUOUS):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.arch not in (ARCH_BERNOULLI, ARCH_GAUSSIAN):
+            raise ValueError(f"unknown architecture {self.arch!r}")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("matrix contains non-finite entries")
-        if self.mode == MODE_BINARY and not np.all(np.isin(self.matrix, (0.0, 1.0))):
-            raise ValueError("binary mode entries must be 0 or 1")
+        if self.arch == ARCH_BERNOULLI and not np.all(np.isin(self.matrix, (0.0, 1.0))):
+            raise ValueError("Bernoulli entries must be 0 or 1")
         if self.dates is not None and len(self.dates) != self.matrix.shape[0]:
             raise ValueError("dates and matrix disagree on row count")
 
@@ -143,6 +143,62 @@ class EncodedSeries:
     @property
     def n_visible(self) -> int:
         return self.matrix.shape[1]
+
+
+def _read_rows(path, parse_label, label_kind: str, label_column: str | None = None):
+    """Stream the rows of a headered CSV of one label column and numeric cells.
+
+    Returns ``(labels, values, asset_names, n_dropped)`` in file order, with
+    ``values`` a (rows, assets) matrix. ``label_column`` names the label
+    column (default: the first); ``parse_label`` turns its cell into the
+    label. A row with the wrong cell count, a label or cell that does not
+    parse, or a non-finite cell is dropped and counted. Rows are parsed as
+    they are read, so no copy of the file's text is held.
+    """
+    # a lazy import: the extension adds about 0.1 MiB of RSS to commands
+    # that read no CSV, such as generate
+    from array import array
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, header row required") from None
+        if len(header) < 2:
+            raise ValueError(f"{path}: need a {label_kind} column plus at least one asset column")
+        if label_column is None:
+            label_idx = 0
+        elif label_column in header:
+            label_idx = header.index(label_column)
+        else:
+            raise ValueError(f"{path}: no column named {label_column!r}")
+        asset_names = header[:label_idx] + header[label_idx + 1:]
+        labels = []
+        values = array("d")
+        n_dropped = 0
+        for row in reader:
+            if len(row) != len(header):
+                n_dropped += 1
+                continue
+            try:
+                label = parse_label(row.pop(label_idx))
+                vals = [float(cell) for cell in row]
+            except ValueError:
+                n_dropped += 1
+                continue
+            if not all(math.isfinite(v) for v in vals):
+                n_dropped += 1
+                continue
+            labels.append(label)
+            values.extend(vals)
+    if not labels:
+        raise ValueError(f"{path}: no parseable rows")
+    return labels, np.frombuffer(values).reshape(len(labels), -1), asset_names, n_dropped
+
+
+def _iso_date(text: str) -> Date:
+    return Date.fromisoformat(text.strip())
 
 
 def ingest_csv(path, date_column: str | None = None) -> RawSeries:
@@ -156,52 +212,13 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
     Raises FileNotFoundError for a missing file and ValueError when no
     parseable rows remain or two rows share a date.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
-        raw_rows = list(reader)
-
-    header = [name.strip() for name in header]
-    if len(header) < 2:
-        raise ValueError(f"{path}: need a date column plus at least one asset column")
-    if date_column is None:
-        date_idx = 0
-    else:
-        if date_column not in header:
-            raise ValueError(f"{path}: no column named {date_column!r}")
-        date_idx = header.index(date_column)
-    asset_names = [name for i, name in enumerate(header) if i != date_idx]
-
-    parsed: list[tuple[Date, list[float]]] = []
-    n_dropped = 0
-    for row in raw_rows:
-        if len(row) != len(header):
-            n_dropped += 1
-            continue
-        try:
-            when = Date.fromisoformat(row[date_idx].strip())
-            vals = [float(cell) for i, cell in enumerate(row) if i != date_idx]
-        except ValueError:
-            n_dropped += 1
-            continue
-        if not all(math.isfinite(v) for v in vals):
-            n_dropped += 1
-            continue
-        parsed.append((when, vals))
-
-    if not parsed:
-        raise ValueError(f"{path}: no parseable rows")
-    parsed.sort(key=lambda item: item[0])
-    for (d1, _), (d2, _) in zip(parsed, parsed[1:]):
+    dates, values, asset_names, n_dropped = _read_rows(path, _iso_date, "date", date_column)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    dates = [dates[i] for i in order]
+    for d1, d2 in zip(dates, dates[1:]):
         if d1 == d2:
             raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
-
-    dates = [when for when, _ in parsed]
-    values = np.array([vals for _, vals in parsed], dtype=np.float64)
-    return RawSeries(dates, values, asset_names, n_dropped=n_dropped)
+    return RawSeries(dates, values[order], asset_names, n_dropped=n_dropped)
 
 
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:
@@ -280,7 +297,7 @@ def binarize(series: RawSeries, codec: BinaryCodec) -> EncodedSeries:
     matrix = bits.reshape(series.n_rows, -1).astype(np.float64)
     n_clipped = int(np.count_nonzero((series.values < codec.minimum)
                                      | (series.values > codec.maximum)))
-    return EncodedSeries(matrix, MODE_BINARY, codec=codec, dates=list(series.dates),
+    return EncodedSeries(matrix, ARCH_BERNOULLI, codec=codec, dates=list(series.dates),
                          n_clipped=n_clipped)
 
 
@@ -302,13 +319,13 @@ def standardize(series: RawSeries, params: ZScoreParams) -> EncodedSeries:
     if series.n_assets != params.n_assets:
         raise ValueError("series and z-score params disagree on asset count")
     matrix = (series.values - params.mu) / params.sigma
-    return EncodedSeries(matrix, MODE_CONTINUOUS, codec=params, dates=list(series.dates))
+    return EncodedSeries(matrix, ARCH_GAUSSIAN, codec=params, dates=list(series.dates))
 
 
 def destandardize(encoded: EncodedSeries) -> np.ndarray:
     """Invert standardize: x = v * sigma + mu."""
-    if encoded.mode != MODE_CONTINUOUS:
-        raise ValueError("destandardize requires a continuous-mode series")
+    if encoded.arch != ARCH_GAUSSIAN:
+        raise ValueError("destandardize requires a continuous (Gaussian) series")
     if not isinstance(encoded.codec, ZScoreParams):
         raise ValueError("encoded series carries no z-score parameters")
     return encoded.matrix * encoded.codec.sigma + encoded.codec.mu
@@ -317,10 +334,10 @@ def destandardize(encoded: EncodedSeries) -> np.ndarray:
 def decode_series(encoded: EncodedSeries) -> np.ndarray:
     """Map an encoded matrix back to raw units (T x n_assets).
 
-    Binary mode groups columns per asset MSB-first and decodes bin centers;
-    continuous mode applies the affine z-score inverse.
+    Bernoulli rows group columns per asset MSB-first and decode to bin
+    centers; Gaussian rows take the affine z-score inverse.
     """
-    if encoded.mode == MODE_CONTINUOUS:
+    if encoded.arch == ARCH_GAUSSIAN:
         return destandardize(encoded)
     codec = encoded.codec
     if not isinstance(codec, BinaryCodec):
@@ -354,36 +371,4 @@ class TableData:
 
 def read_values_csv(path) -> TableData:
     """Read a CSV of labeled numeric rows, preserving file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
-        raw_rows = list(reader)
-
-    header = [name.strip() for name in header]
-    if len(header) < 2:
-        raise ValueError(f"{path}: need a label column plus at least one asset column")
-    asset_names = header[1:]
-
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    n_dropped = 0
-    for row in raw_rows:
-        if len(row) != len(header):
-            n_dropped += 1
-            continue
-        try:
-            vals = [float(cell) for cell in row[1:]]
-        except ValueError:
-            n_dropped += 1
-            continue
-        if not all(math.isfinite(v) for v in vals):
-            n_dropped += 1
-            continue
-        labels.append(row[0])
-        rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}: no parseable rows")
-    return TableData(labels, np.array(rows, dtype=np.float64), asset_names, n_dropped)
+    return TableData(*_read_rows(path, str, "label"))

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .data import EncodedSeries
-from .model import ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams, _scaled_visible, \
-    _visible_term, sigmoid, softplus
+from .model import ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams, _visible_term, sigmoid, \
+    softplus
 
 
 def build_windows(encoded, lag: int,
@@ -90,7 +90,7 @@ def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
     batches that broadcast against each other.
 
     Rows go through in blocks of READ_AHEAD_BYTES of hidden pre-activation,
-    at least one row each. Each block computes b + B'w + scaled(v) W once
+    at least one row each. Each block computes b + B'w + v W once
     into a buffer that every block reuses, then reads both the softplus and
     the sigmoid from it, so memory does not grow with rows x hidden units.
     Row results equal the one-shot formula on the same BLAS build as long
@@ -117,14 +117,14 @@ def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
         if m.B.size:
             np.matmul(w, m.B, out=pre)
             pre += m.b
-            pre += np.matmul(_scaled_visible(x, m), m.W, out=work)
+            pre += np.matmul(x, m.W, out=work)
         else:
-            np.matmul(_scaled_visible(x, m), m.W, out=pre)
+            np.matmul(x, m.W, out=pre)
             pre += m.b
         visible[lo:hi] = _visible_term(x, abias, m)
         if squared_error:
             wh = sigmoid(pre, out=work) @ m.W.T
-            recon = abias + m.sigma * wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
+            recon = abias + wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
             np.square(np.subtract(x, recon, out=sq_err[lo:hi]), out=sq_err[lo:hi])
         np.sum(softplus(pre, out=work, overwrite_x=True), axis=-1, out=structural[lo:hi])
     np.negative(structural, out=structural)

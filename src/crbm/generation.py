@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EncodedSeries, MODE_BINARY, MODE_CONTINUOUS, decode_series
+from .data import EncodedSeries, decode_series
 from .dynamics import dynamic_hidden_bias, dynamic_visible_bias
-from .model import (ARCH_BERNOULLI, READ_AHEAD_BYTES, ModelParams, gibbs_kernel, sweep_variates,
-                    sweep_width)
+from .model import READ_AHEAD_BYTES, ModelParams, gibbs_kernel, sweep_variates, sweep_width
 
 QUANTILE_LEVELS = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999)
 SQ_AUTOCORR_LAGS = tuple(range(1, 21))
@@ -70,8 +69,7 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
         if not finite.all():
             raise ValueError(f"rollout went non-finite at step "
                              f"{start + int(np.argmin(finite))} of {steps}")
-    mode = MODE_BINARY if m.arch == ARCH_BERNOULLI else MODE_CONTINUOUS
-    return EncodedSeries(matrix=out, mode=mode, codec=codec)
+    return EncodedSeries(matrix=out, arch=m.arch, codec=codec)
 
 
 @dataclass

@@ -11,9 +11,8 @@ Conventions:
   * visible vectors have length n_visible (bits or z-scores), hidden
     vectors length n_hidden, entries of hidden states are {0, 1};
   * the Bernoulli energy is -a.v - b.h - v.W.h, the Gaussian energy is
-    sum((v - a)^2 / (2 sigma^2)) - b.h - (v / sigma).W.h, so given h a
-    Gaussian visible unit is normal with center a + sigma (W h) and scale
-    sigma;
+    sum((v - a)^2 / 2) - b.h - v.W.h, so given h a Gaussian visible unit
+    is normal with center a + W h and unit variance (inputs are z-scored);
   * free energy F(v) = -log sum_h exp(-E(v, h)), which factorizes into the
     visible term plus a softplus per hidden unit;
   * sampling is a pure function of (inputs, generator state).
@@ -90,16 +89,13 @@ class ModelParams:
 
     ``A`` and ``B`` map the flattened history window (lag * n_visible
     entries, oldest observation first) to visible and hidden bias shifts.
-    With lag = 0 both are empty and the model is a static RBM. ``sigma``
-    holds the Gaussian per-unit scales; inputs are z-scored so it stays at
-    one and is never learned, but energy, sampler and gradients all honor
-    whatever it contains.
+    With lag = 0 both are empty and the model is a static RBM. Gaussian
+    visible units have unit variance, because inputs are z-scored.
     """
 
     W: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    sigma: np.ndarray
     arch: str
     A: np.ndarray = field(default=None)
     B: np.ndarray = field(default=None)
@@ -109,12 +105,11 @@ class ModelParams:
         self.W = np.asarray(self.W, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if self.arch not in (ARCH_BERNOULLI, ARCH_GAUSSIAN):
             raise ValueError(f"unknown architecture {self.arch!r}")
         nv, nh = self.W.shape
-        if self.a.shape != (nv,) or self.b.shape != (nh,) or self.sigma.shape != (nv,):
-            raise ValueError("bias/scale shapes inconsistent with W")
+        if self.a.shape != (nv,) or self.b.shape != (nh,):
+            raise ValueError("bias shapes inconsistent with W")
         if self.lag < 0:
             raise ValueError("lag must be >= 0")
         if self.A is None:
@@ -125,11 +120,9 @@ class ModelParams:
         self.B = np.asarray(self.B, dtype=np.float64)
         if self.A.shape != (self.lag * nv, nv) or self.B.shape != (self.lag * nv, nh):
             raise ValueError("autoregressive matrix shapes inconsistent with lag")
-        for name in ("W", "a", "b", "sigma", "A", "B"):
+        for name in ("W", "a", "b", "A", "B"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite entries in {name}")
-        if np.any(self.sigma <= 0):
-            raise ValueError("sigma must be strictly positive")
 
     @property
     def n_visible(self) -> int:
@@ -144,14 +137,8 @@ class ModelParams:
         return self.lag * self.n_visible
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.W.copy(), self.a.copy(), self.b.copy(),
-                           self.sigma.copy(), self.arch,
+        return ModelParams(self.W.copy(), self.a.copy(), self.b.copy(), self.arch,
                            self.A.copy(), self.B.copy(), self.lag)
-
-
-def _scaled_visible(v: np.ndarray, m: ModelParams) -> np.ndarray:
-    """v for the Bernoulli architecture, v / sigma for the Gaussian one."""
-    return v if m.arch == ARCH_BERNOULLI else v / m.sigma
 
 
 def _default_biases(m: ModelParams, abias, bbias):
@@ -162,12 +149,12 @@ def _default_biases(m: ModelParams, abias, bbias):
 def _visible_term(v: np.ndarray, abias: np.ndarray, m: ModelParams) -> np.ndarray:
     """The part of energy and free energy that involves v alone, per row.
 
-    -abias.v for the Bernoulli architecture, sum((v - abias)^2 / 2 sigma^2)
-    for the Gaussian one.
+    -abias.v for the Bernoulli architecture, sum((v - abias)^2 / 2) for the
+    Gaussian one.
     """
     if m.arch == ARCH_BERNOULLI:
         return -np.sum(abias * v, axis=-1)
-    return np.sum((v - abias) ** 2 / (2.0 * m.sigma**2), axis=-1)
+    return np.sum((v - abias) ** 2 / 2.0, axis=-1)
 
 
 def energy(v: np.ndarray, h: np.ndarray, m: ModelParams,
@@ -182,7 +169,7 @@ def energy(v: np.ndarray, h: np.ndarray, m: ModelParams,
     h = np.asarray(h, dtype=np.float64)
     if v.shape[-1] != m.n_visible or h.shape[-1] != m.n_hidden:
         raise ValueError("state dimensions inconsistent with model")
-    interaction = np.sum((_scaled_visible(v, m) @ m.W) * h, axis=-1)
+    interaction = np.sum((v @ m.W) * h, axis=-1)
     hidden_term = np.sum(bbias * h, axis=-1)
     return _visible_term(v, abias, m) - hidden_term - interaction
 
@@ -194,7 +181,7 @@ def free_energy_terms(v: np.ndarray, m: ModelParams,
 
     Returns ``(visible_term, structural)`` where ``structural`` is the
     negated softplus sum over hidden units (always <= 0) and
-    ``visible_term`` is the quadratic penalty sum((v - a)^2 / 2 sigma^2)
+    ``visible_term`` is the quadratic penalty sum((v - a)^2 / 2)
     for the Gaussian architecture or the linear term -a.v for the
     Bernoulli one. Their sum is the free energy; diagnostics read the
     components separately.
@@ -203,7 +190,7 @@ def free_energy_terms(v: np.ndarray, m: ModelParams,
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:
         raise ValueError("state dimension inconsistent with model")
-    pre = bbias + _scaled_visible(v, m) @ m.W
+    pre = bbias + v @ m.W
     structural = -np.sum(softplus(pre, overwrite_x=True), axis=-1)
     return _visible_term(v, abias, m), structural
 
@@ -218,48 +205,12 @@ def free_energy(v: np.ndarray, m: ModelParams,
 
 def hidden_activation_probs(v: np.ndarray, m: ModelParams,
                             bbias: np.ndarray | None = None) -> np.ndarray:
-    """P(h_j = 1 | v) = sigmoid(bbias_j + sum_i scaled(v)_i W_ij)."""
+    """P(h_j = 1 | v) = sigmoid(bbias_j + sum_i v_i W_ij)."""
     _, bbias = _default_biases(m, None, bbias)
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:
         raise ValueError("state dimension inconsistent with model")
-    return sigmoid(bbias + _scaled_visible(v, m) @ m.W)
-
-
-def sample_hidden(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw h_j = 1 iff a uniform variate falls below p_j."""
-    p = np.asarray(p, dtype=np.float64)
-    return (rng.random(p.shape) < p).astype(np.float64)
-
-
-def visible_reconstruction(h: np.ndarray, m: ModelParams,
-                           abias: np.ndarray | None = None,
-                           rng: np.random.Generator | None = None,
-                           mode: str = "mean") -> np.ndarray:
-    """Conditional of the visible layer given a hidden state.
-
-    Gaussian: per unit a normal with center abias + sigma * (W h) and
-    standard deviation sigma, the conditional of the energy above.
-    Bernoulli: per-unit probability sigmoid(abias + W h). ``mode="mean"``
-    returns the center/probability; ``mode="sample"`` draws from the
-    conditional and requires ``rng``.
-    """
-    abias, _ = _default_biases(m, abias, None)
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != m.n_hidden:
-        raise ValueError("hidden dimension inconsistent with model")
-    if mode not in ("mean", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    wh = h @ m.W.T
-    if m.arch == ARCH_GAUSSIAN:
-        center = abias + m.sigma * wh
-        if mode == "mean":
-            return center
-        return center + m.sigma * rng.standard_normal(center.shape)
-    p = sigmoid(abias + wh)
-    if mode == "mean":
-        return p
-    return (rng.random(p.shape) < p).astype(np.float64)
+    return sigmoid(bbias + v @ m.W)
 
 
 class ChainStreams:
@@ -332,7 +283,7 @@ def gibbs_kernel(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.nda
     resolved, and ``lu_h, e_v`` come from sweep_variates with shapes
     (steps, *v.shape[:-1], ...). A unit turns on when its input exceeds
     logit(u) minus its bias, which is the event u < sigmoid(bias + input),
-    so no sigmoid is computed. A Gaussian visible row is a + sigma * (W h + z).
+    so no sigmoid is computed. A Gaussian visible row is a + (W h + z).
     """
     W, WT = m.W, m.W.T
     h = np.zeros(v.shape[:-1] + (m.n_hidden,))
@@ -342,8 +293,8 @@ def gibbs_kernel(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.nda
             v = (np.dot(h, WT) > th_v).astype(np.float64)
         return v, h
     for th_h, z in zip(lu_h - bbias, e_v):
-        h = (np.dot(v / m.sigma, W) > th_h).astype(np.float64)
-        v = abias + m.sigma * (np.dot(h, WT) + z)
+        h = (np.dot(v, W) > th_h).astype(np.float64)
+        v = abias + (np.dot(h, WT) + z)
     return v, h
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryCodec, MODE_BINARY, MODE_CONTINUOUS, ZScoreParams
+from .data import BinaryCodec, ZScoreParams
 from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams
 
 MAGIC = b"CRBM"
@@ -59,10 +59,6 @@ class ModelFile:
     def n_assets(self) -> int:
         return len(self.asset_names)
 
-    @property
-    def mode(self) -> str:
-        return MODE_BINARY if self.params.arch == ARCH_BERNOULLI else MODE_CONTINUOUS
-
 
 def _pack_array(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
@@ -92,7 +88,8 @@ def save_model(mf: ModelFile, path) -> None:
         parts.append(struct.pack("<B", _CODEC_ZSCORE))
         parts.append(_pack_array(mf.codec.mu))
         parts.append(_pack_array(mf.codec.sigma))
-    for arr in (m.a, m.b, m.sigma, m.W, m.A, m.B, mf.seed_window):
+    # reserved slot: ones, where v1 files kept the Gaussian scales
+    for arr in (m.a, m.b, np.ones(m.n_visible), m.W, m.A, m.B, mf.seed_window):
         parts.append(_pack_array(arr))
     parts.append(_pack_str(mf.config_text, "I"))
     with open(path, "wb") as fh:
@@ -159,7 +156,8 @@ def load_model(path) -> ModelFile:
             raise ValueError(f"{path}: unknown codec code {codec_code}")
         a = _read_array(fh, n_visible)
         b = _read_array(fh, n_hidden)
-        sigma = _read_array(fh, n_visible)
+        if np.any(_read_array(fh, n_visible) != 1.0):
+            raise ValueError(f"{path}: reserved sigma slot must hold ones")
         W = _read_array(fh, (n_visible, n_hidden))
         A = _read_array(fh, (lag * n_visible, n_visible))
         B = _read_array(fh, (lag * n_visible, n_hidden))
@@ -167,6 +165,6 @@ def load_model(path) -> ModelFile:
         config_text = _read_str(fh, "I")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after model payload")
-    params = ModelParams(W=W, a=a, b=b, sigma=sigma, arch=arch, A=A, B=B, lag=lag)
+    params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
     return ModelFile(params=params, codec=codec, asset_names=asset_names,
                      seed=seed, seed_window=seed_window, config_text=config_text)

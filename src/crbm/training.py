@@ -16,10 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import EncodedSeries, MODE_BINARY
+from .data import EncodedSeries
 from .dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias, score_rows
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, _scaled_visible, \
-    run_chains, sigmoid
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, run_chains, sigmoid
 
 PARAM_NAMES = ("W", "a", "b", "A", "B")
 
@@ -210,8 +209,7 @@ def init_params(n_visible: int, n_hidden: int, lag: int, arch: str, seed) -> Mod
         raise ValueError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
     W = 0.01 * rng.standard_normal((n_visible, n_hidden))
-    return ModelParams(W=W, a=np.zeros(n_visible), b=np.zeros(n_hidden),
-                       sigma=np.ones(n_visible), arch=arch,
+    return ModelParams(W=W, a=np.zeros(n_visible), b=np.zeros(n_hidden), arch=arch,
                        A=np.zeros((lag * n_visible, n_visible)),
                        B=np.zeros((lag * n_visible, n_hidden)), lag=lag)
 
@@ -231,7 +229,7 @@ def _visible_statistic(v, abias, m: ModelParams):
     """Sufficient statistic paired with the visible bias gradient."""
     if m.arch == ARCH_BERNOULLI:
         return v
-    return (v - abias) / m.sigma**2
+    return v - abias
 
 
 def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
@@ -256,8 +254,7 @@ def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
     # positive phase: data statistics under the data windows
     abias_d = dynamic_visible_bias(w_batch, m)
     bbias_d = dynamic_hidden_bias(w_batch, m)
-    scaled_d = _scaled_visible(v_batch, m)
-    p_d = sigmoid(bbias_d + scaled_d @ m.W)
+    p_d = sigmoid(bbias_d + v_batch @ m.W)
     stat_a_d = _visible_statistic(v_batch, abias_d, m)
     n_data = v_batch.shape[0]
 
@@ -265,13 +262,12 @@ def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
     abias_c = dynamic_visible_bias(chains.windows, m)
     bbias_c = dynamic_hidden_bias(chains.windows, m)
     chains.v, _ = run_chains(chains.v, m, abias_c, bbias_c, chains.rngs, cfg.gibbs_k)
-    scaled_c = _scaled_visible(chains.v, m)
-    p_c = sigmoid(bbias_c + scaled_c @ m.W)
+    p_c = sigmoid(bbias_c + chains.v @ m.W)
     stat_a_c = _visible_statistic(chains.v, abias_c, m)
     n_model = chains.n_chains
 
     grads = GradientBundle(
-        W=scaled_d.T @ p_d / n_data - scaled_c.T @ p_c / n_model,
+        W=v_batch.T @ p_d / n_data - chains.v.T @ p_c / n_model,
         a=stat_a_d.mean(axis=0) - stat_a_c.mean(axis=0),
         b=p_d.mean(axis=0) - p_c.mean(axis=0),
         A=w_batch.T @ stat_a_d / n_data - chains.windows.T @ stat_a_c / n_model,
@@ -320,12 +316,10 @@ def reconstruction_mse(windows: np.ndarray, targets: np.ndarray, m: ModelParams)
 def train(encoded: EncodedSeries, cfg: TrainConfig) -> TrainReport:
     """Run PCD over shuffled minibatches of (window, target) pairs.
 
-    The architecture follows the encoding: binary rows train a Bernoulli
-    model, continuous rows a Gaussian one. Fully deterministic given
+    The model takes the architecture of the encoding. Fully deterministic given
     (data, cfg): initialization, shuffling, chain streams, and window
     reassignment all derive from cfg.seed.
     """
-    arch = ARCH_BERNOULLI if encoded.mode == MODE_BINARY else ARCH_GAUSSIAN
     windows, targets = build_windows(encoded, cfg.lag)
     n_pairs = targets.shape[0]
     n_holdout = int(round(cfg.holdout_fraction * n_pairs))
@@ -335,7 +329,7 @@ def train(encoded: EncodedSeries, cfg: TrainConfig) -> TrainReport:
 
     seq = np.random.SeedSequence(cfg.seed)
     init_seq, chain_seq, shuffle_seq, assign_seq = seq.spawn(4)
-    m = init_params(targets.shape[1], cfg.n_hidden, cfg.lag, arch, init_seq)
+    m = init_params(targets.shape[1], cfg.n_hidden, cfg.lag, encoded.arch, init_seq)
     chains = init_chains(windows[:n_train], targets[:n_train], cfg.n_chains, chain_seq)
     velocity = Velocity.zeros_like(m)
     shuffle_rng = np.random.default_rng(shuffle_seq)

@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams
-from crbm.model_io import FORMAT_VERSION, MAGIC
+from crbm.model_io import FORMAT_VERSION, MAGIC, save_model
 
 
 def naive_energy(v, h, W, a, b, sigma, arch):
@@ -120,21 +120,21 @@ def random_bernoulli_model(rng, nv, nh, scale=0.8, lag=0):
     return ModelParams(W=rng.standard_normal((nv, nh)) * scale,
                        a=rng.uniform(-0.5, 0.5, nv),
                        b=rng.uniform(-0.5, 0.5, nh),
-                       sigma=np.ones(nv), arch=ARCH_BERNOULLI, lag=lag)
+                       arch=ARCH_BERNOULLI, lag=lag)
 
 
 def random_gaussian_model(rng, nv, nh, scale=0.8, lag=0):
     return ModelParams(W=rng.standard_normal((nv, nh)) * scale,
                        a=rng.uniform(-0.5, 0.5, nv),
                        b=rng.uniform(-0.5, 0.5, nh),
-                       sigma=np.ones(nv), arch=ARCH_GAUSSIAN, lag=lag)
+                       arch=ARCH_GAUSSIAN, lag=lag)
 
 
 def runaway_gaussian_model(nv=2, nh=3):
     """A lag-1 Gaussian model with A = 3 I, so v_t = 3 v_(t-1) + noise grows
     without bound and overflows after some 650 rows."""
     m = ModelParams(W=np.zeros((nv, nh)), a=np.zeros(nv), b=np.zeros(nh),
-                    sigma=np.ones(nv), arch=ARCH_GAUSSIAN, lag=1)
+                    arch=ARCH_GAUSSIAN, lag=1)
     m.A = 3.0 * np.eye(nv)
     return m
 
@@ -150,6 +150,25 @@ def write_dated_csv(path, values, start=date(2020, 1, 1), names=None):
         for t in range(values.shape[0]):
             writer.writerow([(start + timedelta(days=t)).isoformat()]
                             + [repr(float(x)) for x in values[t]])
+
+
+def reserved_slot_offset(mf):
+    """Byte offset of the reserved n_visible doubles that follow a and b in a
+    saved model file, from the documented layout."""
+    m = mf.params
+    offset = len(MAGIC) + 4 + 1 + 16 + 8
+    offset += sum(2 + len(name.encode("utf-8")) for name in mf.asset_names)
+    offset += 1 + (4 if m.arch == ARCH_BERNOULLI else 0) + 16 * len(mf.asset_names)
+    return offset + 8 * (m.n_visible + m.n_hidden)
+
+
+def write_model_with_slot(path, mf, value):
+    """Save ``mf``, then overwrite the first reserved double with ``value``."""
+    save_model(mf, path)
+    blob = bytearray(path.read_bytes())
+    offset = reserved_slot_offset(mf)
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
 
 
 def write_forged_model(path, n_hidden=2**30):

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from crbm.cli import main as cli_main
-from crbm.data import EncodedSeries, MODE_BINARY, MODE_CONTINUOUS, fit_binary_codec, \
-    RawSeries, binarize, decode_series
+from crbm.data import EncodedSeries, fit_binary_codec, RawSeries, binarize, decode_series
 from crbm.diagnostics import free_energy_series
 from crbm.dynamics import build_windows, conditional_free_energy, \
     conditional_free_energy_terms, dynamic_hidden_bias, dynamic_visible_bias
 from crbm.generation import generate
 from crbm.model import (
     ARCH_BERNOULLI,
+    ARCH_GAUSSIAN,
     enumerate_states,
     exact_marginals,
     free_energy,
@@ -57,7 +57,7 @@ def corr_training():
 @pytest.fixture(scope="module")
 def corr_model(corr_training):
     cfg = TrainConfig(seed=7, epochs=200, lag=5, n_hidden=16, batch_size=64)
-    report = train(EncodedSeries(corr_training, MODE_CONTINUOUS), cfg)
+    report = train(EncodedSeries(corr_training, ARCH_GAUSSIAN), cfg)
     return report.params
 
 
@@ -72,7 +72,7 @@ def test_criterion_1_free_energy_oracle_equivalence():
         m = random_bernoulli_model(rng, nv, nh, scale=float(rng.uniform(0.3, 1.5)))
         states = enumerate_states(nv)
         got = free_energy(states, m)
-        want = [naive_free_energy(s, m.W, m.a, m.b, m.sigma, m.arch)
+        want = [naive_free_energy(s, m.W, m.a, m.b, [1.0] * nv, m.arch)
                 for s in states]
         worst = max(worst, float(np.max(np.abs(got - want))))
     dt = elapsed_since(t0)
@@ -156,7 +156,7 @@ def test_criterion_4_model_recovery():
 
     cfg = TrainConfig(seed=11, epochs=40, lag=0, n_hidden=8, batch_size=256,
                       n_chains=128)
-    report = train(EncodedSeries(data, MODE_BINARY), cfg)
+    report = train(EncodedSeries(data, ARCH_BERNOULLI), cfg)
     tv = 0.5 * float(np.abs(exact_marginals(report.params) - p_true).sum())
     dt = elapsed_since(t0)
     assert tv < 0.05
@@ -185,7 +185,7 @@ def test_criterion_6_thin_tail_signature():
     rng = np.random.default_rng(55)
     real = 2.0 * rng.standard_t(3, size=(10_000, 2))
     cfg = TrainConfig(seed=21, epochs=100, lag=5, n_hidden=16, batch_size=64)
-    report = train(EncodedSeries(real, MODE_CONTINUOUS), cfg)
+    report = train(EncodedSeries(real, ARCH_GAUSSIAN), cfg)
     out = generate(report.params, real[-5:].ravel(), 5000,
                    np.random.default_rng(77), burn_in=20)
     real_q = np.abs(np.quantile(real, 0.001, axis=0))
@@ -201,7 +201,7 @@ def test_criterion_7_decomposition_identity_and_shock(corr_model, corr_training)
     the quadratic term."""
     t0 = time.monotonic()
     m = corr_model
-    enc = EncodedSeries(corr_training, MODE_CONTINUOUS)
+    enc = EncodedSeries(corr_training, ARCH_GAUSSIAN)
     fe = free_energy_series(enc, m)
     identity_gap = float(np.max(np.abs(fe.total - (fe.quadratic + fe.structural))))
     assert identity_gap <= 1e-9
@@ -212,7 +212,7 @@ def test_criterion_7_decomposition_identity_and_shock(corr_model, corr_training)
     mb.A = rng.normal(size=(8, 4)) * 0.1
     mb.B = rng.normal(size=(8, 3)) * 0.1
     rows = (rng.random((300, 4)) < 0.5).astype(float)
-    feb = free_energy_series(EncodedSeries(rows, MODE_BINARY), mb)
+    feb = free_energy_series(EncodedSeries(rows, ARCH_BERNOULLI), mb)
     gap_b = float(np.max(np.abs(feb.total - (feb.quadratic + feb.structural))))
     assert gap_b <= 1e-9
 
@@ -223,7 +223,7 @@ def test_criterion_7_decomposition_identity_and_shock(corr_model, corr_training)
     abias = dynamic_visible_bias(windows[p], m)
     shocked = corr_training.copy()
     shocked[shock_t] = abias + 10.0 * (shocked[shock_t] - abias)
-    fe_shocked = free_energy_series(EncodedSeries(shocked, MODE_CONTINUOUS), m)
+    fe_shocked = free_energy_series(EncodedSeries(shocked, ARCH_GAUSSIAN), m)
     others = np.delete(fe_shocked.quadratic, p)
     cutoff = float(np.quantile(others, 0.99))
     dt = elapsed_since(t0)

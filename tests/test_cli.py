@@ -13,7 +13,8 @@ import crbm
 from crbm.cli import main
 from crbm.data import ZScoreParams
 from crbm.model_io import ModelFile, load_model, save_model
-from helpers import runaway_gaussian_model, write_forged_model
+from helpers import random_gaussian_model, runaway_gaussian_model, write_forged_model, \
+    write_model_with_slot
 
 FIXTURE = Path(__file__).parent / "data" / "toy.csv"
 
@@ -146,6 +147,19 @@ class TestGenerate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: truncated model file") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sigma_other_than_one_is_a_one_line_error(self, tmp_path, capsys):
+        mf = ModelFile(params=random_gaussian_model(np.random.default_rng(3), 2, 3),
+                       codec=ZScoreParams(np.zeros(2), np.ones(2)), asset_names=["x", "y"],
+                       seed=0, seed_window=np.zeros(0))
+        write_model_with_slot(tmp_path / "scaled.crbm", mf, 2.0)
+        code = run("generate", "--model", tmp_path / "scaled.crbm", "--steps", "5",
+                   "--seed", "1", "--output-dir", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sigma" in err and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_runaway_rollout_is_a_one_line_error(self, tmp_path, capsys):

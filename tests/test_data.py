@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, and the two encodings against naive oracles."""
 
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -8,8 +9,6 @@ import pytest
 from crbm.data import (
     BinaryCodec,
     EncodedSeries,
-    MODE_BINARY,
-    MODE_CONTINUOUS,
     RawSeries,
     ZScoreParams,
     binarize,
@@ -24,6 +23,7 @@ from crbm.data import (
     read_values_csv,
     standardize,
 )
+from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN
 from helpers import naive_bits, naive_quantize, naive_unquantize, write_dated_csv
 
 
@@ -159,19 +159,19 @@ class TestBinaryCodec:
 
     def test_all_zero_row_decodes_to_minimum(self):
         codec = BinaryCodec([-3.0, 2.0], [4.0, 9.0], bits_per_asset=5)
-        enc = EncodedSeries(np.zeros((1, 10)), MODE_BINARY, codec=codec)
+        enc = EncodedSeries(np.zeros((1, 10)), ARCH_BERNOULLI, codec=codec)
         np.testing.assert_allclose(decode_series(enc)[0], [-3.0, 2.0])
 
     def test_misaligned_bit_groups_error(self):
         codec = BinaryCodec([0.0], [1.0], bits_per_asset=4)
-        enc = EncodedSeries(np.zeros((2, 6)), MODE_BINARY, codec=codec)
+        enc = EncodedSeries(np.zeros((2, 6)), ARCH_BERNOULLI, codec=codec)
         with pytest.raises(ValueError, match="misalignment"):
             decode_series(enc)
 
     def test_binarize_shape_and_dates(self, toy_series):
         codec = fit_binary_codec(toy_series, bits=7)
         enc = binarize(toy_series, codec)
-        assert enc.mode == MODE_BINARY
+        assert enc.arch == ARCH_BERNOULLI
         assert enc.matrix.shape == (40, 21)
         assert enc.dates == toy_series.dates
 
@@ -214,7 +214,7 @@ class TestZScore:
                                    atol=1e-12)
 
     def test_destandardize_mode_guard(self):
-        enc = EncodedSeries(np.zeros((1, 2)), MODE_BINARY,
+        enc = EncodedSeries(np.zeros((1, 2)), ARCH_BERNOULLI,
                             codec=BinaryCodec([0, 0], [1, 1], bits_per_asset=1))
         with pytest.raises(ValueError, match="continuous"):
             destandardize(enc)
@@ -223,15 +223,15 @@ class TestZScore:
 class TestEncodedSeries:
     def test_binary_entries_validated(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            EncodedSeries(np.full((2, 2), 0.5), MODE_BINARY)
+            EncodedSeries(np.full((2, 2), 0.5), ARCH_BERNOULLI)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="architecture"):
             EncodedSeries(np.zeros((1, 1)), "fancy")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            EncodedSeries(np.array([[np.inf, 0.0]]), MODE_CONTINUOUS)
+            EncodedSeries(np.array([[np.inf, 0.0]]), ARCH_GAUSSIAN)
 
 
 class TestValuesCsv:
@@ -250,3 +250,43 @@ class TestValuesCsv:
         table = read_values_csv(path)
         np.testing.assert_array_equal(table.values, values)
         assert table.labels[0] == "2020-01-01"
+
+    def test_drops_malformed_rows_and_keeps_labels_verbatim(self, tmp_path):
+        path = tmp_path / "vals.csv"
+        path.write_text("step,A\n"
+                        " x ,1.0\n"
+                        "b,oops\n"       # bad float
+                        "c,inf\n"        # non-finite
+                        "d,4.0,5.0\n"    # long row
+                        "e,6.0\n")
+        table = read_values_csv(path)
+        assert table.labels == [" x ", "e"]
+        assert table.n_dropped == 3
+        np.testing.assert_array_equal(table.values, [[1.0], [6.0]])
+        path.write_text("step\n0\n")
+        with pytest.raises(ValueError, match="need a label column"):
+            read_values_csv(path)
+        path.write_text("step,A\n0,nan\n")
+        with pytest.raises(ValueError, match="no parseable rows"):
+            read_values_csv(path)
+
+
+class TestStreamingRead:
+    @pytest.fixture(scope="class")
+    def wide_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wide") / "wide.csv"
+        write_dated_csv(path, np.random.default_rng(5).normal(size=(50_000, 8)))
+        return path
+
+    @pytest.mark.parametrize("reader", [ingest_csv, read_values_csv])
+    def test_peak_memory_stays_small(self, wide_csv, reader):
+        # the values are 3.2 MB as float64; holding every row as lists of
+        # strings and of floats before converting took over 50 MiB
+        tracemalloc.start()
+        try:
+            table = reader(wide_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.values.shape == (50_000, 8)
+        assert peak < 40 * 2**20

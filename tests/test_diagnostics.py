@@ -6,14 +6,14 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from crbm.data import EncodedSeries, MODE_CONTINUOUS
+from crbm.data import EncodedSeries
 from crbm.diagnostics import (
     correlation_fidelity,
     free_energy_series,
     qq_table,
     regime_flags,
 )
-from crbm.model import ARCH_GAUSSIAN, ModelParams, softplus
+from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, softplus
 from helpers import naive_window, random_bernoulli_model, random_gaussian_model
 
 
@@ -29,7 +29,7 @@ class TestFreeEnergySeries:
         rng = np.random.default_rng(100)
         m = crbm(rng)
         matrix = rng.normal(size=(10, 2))
-        fe = free_energy_series(EncodedSeries(matrix, MODE_CONTINUOUS), m)
+        fe = free_energy_series(EncodedSeries(matrix, ARCH_GAUSSIAN), m)
         assert len(fe) == 8
         for p, t in enumerate(range(2, 10)):
             w = naive_window(matrix, t, 2)
@@ -44,14 +44,14 @@ class TestFreeEnergySeries:
         rng = np.random.default_rng(101)
         m = crbm(rng)
         fe = free_energy_series(
-            EncodedSeries(rng.normal(size=(40, 2)), MODE_CONTINUOUS), m)
+            EncodedSeries(rng.normal(size=(40, 2)), ARCH_GAUSSIAN), m)
         np.testing.assert_array_equal(fe.total, fe.quadratic + fe.structural)
         assert np.all(fe.structural <= 0.0)
 
     def test_zero_params_zero_rows(self):
         m = ModelParams(W=np.zeros((2, 4)), a=np.zeros(2), b=np.zeros(4),
-                        sigma=np.ones(2), arch=ARCH_GAUSSIAN)
-        fe = free_energy_series(EncodedSeries(np.zeros((6, 2)), MODE_CONTINUOUS), m)
+                        arch=ARCH_GAUSSIAN)
+        fe = free_energy_series(EncodedSeries(np.zeros((6, 2)), ARCH_GAUSSIAN), m)
         np.testing.assert_allclose(fe.quadratic, 0.0, atol=1e-15)
         np.testing.assert_allclose(fe.structural, -4.0 * np.log(2.0), atol=1e-12)
 
@@ -59,7 +59,7 @@ class TestFreeEnergySeries:
         rng = np.random.default_rng(102)
         m = random_bernoulli_model(rng, 3, 2)
         rows = (rng.random((5, 3)) < 0.5).astype(float)
-        fe = free_energy_series(EncodedSeries(rows, "binary"), m)
+        fe = free_energy_series(EncodedSeries(rows, ARCH_BERNOULLI), m)
         np.testing.assert_allclose(fe.quadratic, -(rows @ m.a), atol=1e-12)
         np.testing.assert_array_equal(fe.total, fe.quadratic + fe.structural)
 
@@ -68,7 +68,7 @@ class TestFreeEnergySeries:
         m = crbm(rng)
         d0 = date(2021, 3, 1)
         dates = [d0 + timedelta(days=i) for i in range(7)]
-        enc = EncodedSeries(rng.normal(size=(7, 2)), MODE_CONTINUOUS, dates=dates)
+        enc = EncodedSeries(rng.normal(size=(7, 2)), ARCH_GAUSSIAN, dates=dates)
         fe = free_energy_series(enc, m)
         assert fe.labels == dates[2:]
 
@@ -76,13 +76,13 @@ class TestFreeEnergySeries:
         rng = np.random.default_rng(104)
         m = crbm(rng)
         fe = free_energy_series(
-            EncodedSeries(rng.normal(size=(6, 2)), MODE_CONTINUOUS), m)
+            EncodedSeries(rng.normal(size=(6, 2)), ARCH_GAUSSIAN), m)
         assert fe.labels == [2, 3, 4, 5]
 
     def test_label_count_mismatch(self):
         rng = np.random.default_rng(105)
         m = crbm(rng)
-        enc = EncodedSeries(rng.normal(size=(6, 2)), MODE_CONTINUOUS)
+        enc = EncodedSeries(rng.normal(size=(6, 2)), ARCH_GAUSSIAN)
         with pytest.raises(ValueError, match="label count"):
             free_energy_series(enc, m, labels=["a", "b"])
 
@@ -90,7 +90,7 @@ class TestFreeEnergySeries:
         # one-shot scoring of 20,000 rows x 64 hidden units peaks near 60 MiB
         rng = np.random.default_rng(106)
         m = crbm(rng, nv=3, nh=64, lag=2)
-        enc = EncodedSeries(rng.normal(size=(20_000, 3)), MODE_CONTINUOUS)
+        enc = EncodedSeries(rng.normal(size=(20_000, 3)), ARCH_GAUSSIAN)
         tracemalloc.start()
         try:
             fe = free_energy_series(enc, m)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crbm.data import EncodedSeries, MODE_CONTINUOUS
+from crbm.data import EncodedSeries
 from crbm.dynamics import (
     build_windows,
     conditional_free_energy,
@@ -44,7 +44,7 @@ class TestBuildWindows:
 
     def test_accepts_encoded_series(self):
         matrix = np.arange(10.0).reshape(5, 2)
-        enc = EncodedSeries(matrix, MODE_CONTINUOUS)
+        enc = EncodedSeries(matrix, ARCH_GAUSSIAN)
         w_enc, t_enc = build_windows(enc, lag=2)
         w_raw, t_raw = build_windows(matrix, lag=2)
         np.testing.assert_array_equal(w_enc, w_raw)
@@ -141,7 +141,6 @@ def scoring_case(rng, arch, n_rows, n_hidden, lag, nv=3):
     m.A = rng.normal(size=(lag * nv, nv)) * 0.3
     m.B = rng.normal(size=(lag * nv, n_hidden)) * 0.3
     if arch == ARCH_GAUSSIAN:
-        m.sigma = rng.uniform(0.5, 2.0, nv)
         v = rng.normal(size=(n_rows, nv))
     else:
         v = (rng.random((n_rows, nv)) < 0.5).astype(float)
@@ -152,9 +151,8 @@ def one_shot(v, w, m):
     """Free-energy terms and mean-field squared error over the full arrays at once."""
     abias, bbias = dynamic_visible_bias(w, m), dynamic_hidden_bias(w, m)
     visible, structural = free_energy_terms(v, m, abias, bbias)
-    scaled = v if m.arch == ARCH_BERNOULLI else v / m.sigma
-    wh = sigmoid(bbias + scaled @ m.W) @ m.W.T
-    recon = abias + m.sigma * wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
+    wh = sigmoid(bbias + v @ m.W) @ m.W.T
+    recon = abias + wh if m.arch == ARCH_GAUSSIAN else sigmoid(abias + wh)
     return visible, structural, (v - recon) ** 2
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crbm.data import BinaryCodec, MODE_BINARY, MODE_CONTINUOUS
+from crbm.data import BinaryCodec
 from crbm.dynamics import dynamic_hidden_bias, dynamic_visible_bias
 from crbm.generation import (
     QUANTILE_LEVELS,
@@ -20,7 +20,7 @@ from helpers import random_bernoulli_model, random_gaussian_model, runaway_gauss
 
 def zero_gaussian(nv=2, nh=3, lag=0):
     return ModelParams(W=np.zeros((nv, nh)), a=np.zeros(nv), b=np.zeros(nh),
-                       sigma=np.ones(nv), arch=ARCH_GAUSSIAN, lag=lag)
+                       arch=ARCH_GAUSSIAN, lag=lag)
 
 
 class TestGenerate:
@@ -28,7 +28,7 @@ class TestGenerate:
         m = random_gaussian_model(np.random.default_rng(0), 3, 2)
         out = generate(m, np.zeros(0), 17, np.random.default_rng(1), burn_in=1)
         assert out.matrix.shape == (17, 3)
-        assert out.mode == MODE_CONTINUOUS
+        assert out.arch == ARCH_GAUSSIAN
 
     def test_deterministic_given_seed(self):
         m = random_bernoulli_model(np.random.default_rng(2), 4, 3, lag=1)
@@ -42,7 +42,7 @@ class TestGenerate:
         m = random_bernoulli_model(np.random.default_rng(5), 4, 2)
         codec = BinaryCodec([0.0, 0.0], [1.0, 1.0], bits_per_asset=2)
         out = generate(m, np.zeros(0), 10, np.random.default_rng(6), codec=codec)
-        assert out.mode == MODE_BINARY
+        assert out.arch == ARCH_BERNOULLI
         assert out.codec is codec
         assert set(np.unique(out.matrix)) <= {0.0, 1.0}
 

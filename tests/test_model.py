@@ -16,16 +16,17 @@ from crbm.model import (
     exact_marginals,
     free_energy,
     free_energy_terms,
+    gibbs_kernel,
     gibbs_step,
     gibbs_sweeps,
     hidden_activation_probs,
     logsumexp,
     run_chains,
-    sample_hidden,
     sigmoid,
     softplus,
     state_index,
-    visible_reconstruction,
+    sweep_variates,
+    sweep_width,
 )
 from helpers import (
     naive_energy,
@@ -81,24 +82,20 @@ class TestModelParams:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shapes"):
             ModelParams(W=np.zeros((3, 2)), a=np.zeros(2), b=np.zeros(2),
-                        sigma=np.ones(3), arch=ARCH_BERNOULLI)
+                        arch=ARCH_BERNOULLI)
         with pytest.raises(ValueError, match="autoregressive"):
             ModelParams(W=np.zeros((3, 2)), a=np.zeros(3), b=np.zeros(2),
-                        sigma=np.ones(3), arch=ARCH_BERNOULLI,
-                        A=np.zeros((5, 3)), B=np.zeros((6, 2)), lag=2)
+                        arch=ARCH_BERNOULLI, A=np.zeros((5, 3)), B=np.zeros((6, 2)), lag=2)
 
-    def test_sigma_and_finiteness_validation(self):
-        with pytest.raises(ValueError, match="sigma"):
-            ModelParams(W=np.zeros((2, 2)), a=np.zeros(2), b=np.zeros(2),
-                        sigma=np.zeros(2), arch=ARCH_GAUSSIAN)
+    def test_finiteness_validation(self):
         with pytest.raises(ValueError, match="non-finite"):
             ModelParams(W=np.full((2, 2), np.nan), a=np.zeros(2), b=np.zeros(2),
-                        sigma=np.ones(2), arch=ARCH_GAUSSIAN)
+                        arch=ARCH_GAUSSIAN)
 
     def test_unknown_arch(self):
         with pytest.raises(ValueError, match="architecture"):
             ModelParams(W=np.zeros((2, 2)), a=np.zeros(2), b=np.zeros(2),
-                        sigma=np.ones(2), arch="quantum")
+                        arch="quantum")
 
     def test_copy_is_deep(self):
         m = random_bernoulli_model(np.random.default_rng(1), 3, 2)
@@ -115,17 +112,16 @@ class TestEnergy:
             v = (rng.random(4) < 0.5).astype(float)
             h = (rng.random(3) < 0.5).astype(float)
             assert energy(v, h, m) == pytest.approx(
-                naive_energy(v, h, m.W, m.a, m.b, m.sigma, m.arch), abs=1e-12)
+                naive_energy(v, h, m.W, m.a, m.b, np.ones(4), m.arch), abs=1e-12)
 
     def test_matches_naive_gaussian(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             m = random_gaussian_model(rng, 4, 3)
-            m.sigma = rng.uniform(0.5, 2.0, 4)  # exercise non-unit scales
             v = rng.normal(size=4)
             h = (rng.random(3) < 0.5).astype(float)
             assert energy(v, h, m) == pytest.approx(
-                naive_energy(v, h, m.W, m.a, m.b, m.sigma, m.arch), abs=1e-12)
+                naive_energy(v, h, m.W, m.a, m.b, np.ones(4), m.arch), abs=1e-12)
 
     def test_batched_rows_match_single(self):
         rng = np.random.default_rng(9)
@@ -138,7 +134,7 @@ class TestEnergy:
 
     def test_gaussian_zero_at_center(self):
         m = ModelParams(W=np.zeros((3, 2)), a=np.array([1.0, -2.0, 0.5]),
-                        b=np.zeros(2), sigma=np.ones(3), arch=ARCH_GAUSSIAN)
+                        b=np.zeros(2), arch=ARCH_GAUSSIAN)
         h = np.zeros(2)
         assert energy(m.a, h, m) == 0.0
 
@@ -149,7 +145,7 @@ class TestEnergy:
         h = np.array([0.0, 1.0])
         abias = rng.normal(size=3)
         bbias = rng.normal(size=2)
-        want = naive_energy(v, h, m.W, abias, bbias, m.sigma, m.arch)
+        want = naive_energy(v, h, m.W, abias, bbias, np.ones(3), m.arch)
         assert energy(v, h, m, abias, bbias) == pytest.approx(want, abs=1e-12)
 
 
@@ -161,7 +157,7 @@ class TestFreeEnergy:
                 m = make(rng, 3, 4)
                 v = ((rng.random(3) < 0.5).astype(float)
                      if m.arch == ARCH_BERNOULLI else rng.normal(size=3))
-                want = naive_free_energy(v, m.W, m.a, m.b, m.sigma, m.arch)
+                want = naive_free_energy(v, m.W, m.a, m.b, np.ones(3), m.arch)
                 assert free_energy(v, m) == pytest.approx(want, abs=1e-9)
 
     def test_terms_sum_to_total_exactly(self):
@@ -179,7 +175,7 @@ class TestFreeEnergy:
 
     def test_zero_params_structural_is_hidden_count_times_log2(self):
         m = ModelParams(W=np.zeros((3, 5)), a=np.zeros(3), b=np.zeros(5),
-                        sigma=np.ones(3), arch=ARCH_GAUSSIAN)
+                        arch=ARCH_GAUSSIAN)
         visible, structural = free_energy_terms(np.zeros(3), m)
         assert visible == 0.0
         assert structural == pytest.approx(-5.0 * np.log(2.0), abs=1e-12)
@@ -191,51 +187,40 @@ class TestConditionals:
         m = random_bernoulli_model(rng, 4, 3)
         v = (rng.random(4) < 0.5).astype(float)
         np.testing.assert_allclose(hidden_activation_probs(v, m),
-                                   naive_hidden_probs(v, m.W, m.b, m.sigma, m.arch),
+                                   naive_hidden_probs(v, m.W, m.b, np.ones(4), m.arch),
                                    atol=1e-12)
 
-    def test_sample_hidden_frequency(self):
-        rng = np.random.default_rng(32)
-        p = np.array([0.1, 0.5, 0.9])
-        draws = sample_hidden(np.tile(p, (200_000, 1)), rng)
-        np.testing.assert_allclose(draws.mean(axis=0), p, atol=5e-3)
-        assert set(np.unique(draws)) <= {0.0, 1.0}
-
     def test_gaussian_reconstruction_moments(self):
-        # sample mode: mean within 0.02 and unit variance within 0.03
+        # the kernel's visible draw given h: mean a + W h within 0.02 and
+        # unit variance within 0.03
         rng = np.random.default_rng(33)
         m = random_gaussian_model(rng, 3, 2)
         h = np.array([1.0, 0.0])
-        center = visible_reconstruction(h, m, mode="mean")
-        draws = visible_reconstruction(np.tile(h, (100_000, 1)), m, rng=rng,
-                                       mode="sample")
-        np.testing.assert_allclose(draws.mean(axis=0), center, atol=0.02)
+        draws = visible_draws_given(h, m, 100_000, rng)
+        np.testing.assert_allclose(draws.mean(axis=0), m.a + m.W @ h, atol=0.02)
         np.testing.assert_allclose(draws.var(axis=0), 1.0, atol=0.03)
 
-    def test_gaussian_reconstruction_honours_sigma(self):
-        # the conditional of the energy: center a + sigma * (W h), scale sigma
-        rng = np.random.default_rng(36)
-        m = random_gaussian_model(rng, 3, 2)
-        m.sigma = np.array([0.5, 1.0, 2.0])
-        h = np.array([1.0, 1.0])
-        center = visible_reconstruction(h, m, mode="mean")
-        np.testing.assert_allclose(center, m.a + m.sigma * (m.W @ h), rtol=1e-12)
-        draws = visible_reconstruction(np.tile(h, (100_000, 1)), m, rng=rng,
-                                       mode="sample")
-        np.testing.assert_allclose(draws.std(axis=0), m.sigma, rtol=0.01)
-
     def test_bernoulli_reconstruction_is_sigmoid(self):
+        # the kernel turns a visible unit on given h with P = sigmoid(a + W h)
         rng = np.random.default_rng(34)
         m = random_bernoulli_model(rng, 3, 2)
         h = np.array([1.0, 1.0])
-        p = visible_reconstruction(h, m, mode="mean")
-        np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(-(m.a + m.W @ h))),
-                                   atol=1e-12)
+        draws = visible_draws_given(h, m, 200_000, rng)
+        np.testing.assert_allclose(draws.mean(axis=0),
+                                   1.0 / (1.0 + np.exp(-(m.a + m.W @ h))), atol=5e-3)
 
-    def test_unknown_mode_error(self):
-        m = random_bernoulli_model(np.random.default_rng(35), 2, 2)
-        with pytest.raises(ValueError, match="mode"):
-            visible_reconstruction(np.zeros(2), m, mode="map")
+
+def visible_draws_given(h, m, n, rng):
+    """n visible draws of one kernel sweep whose hidden layer is forced to h.
+
+    A hidden logit of -inf turns a unit on and +inf turns it off, whatever
+    the visible input.
+    """
+    _, e_v = sweep_variates(rng.random((1, n, sweep_width(m))), m)
+    lu_h = np.broadcast_to(np.where(h > 0, -np.inf, np.inf), (1, n, m.n_hidden))
+    v, h_drawn = gibbs_kernel(np.zeros((n, m.n_visible)), m, m.a, m.b, lu_h, e_v)
+    np.testing.assert_array_equal(h_drawn, np.broadcast_to(h, h_drawn.shape))
+    return v
 
 
 class TestGibbs:
@@ -360,16 +345,15 @@ class TestKernel:
 
 
     def test_gaussian_sweeps_match_exact_hidden_marginal(self):
-        # with non-unit sigma the long-run hidden frequencies match P(h) of
-        # the energy with v integrated out, so sampler and energy describe
-        # one distribution and the Box-Muller noise has unit variance
+        # the long-run hidden frequencies match P(h) of the energy with v
+        # integrated out, so sampler and energy describe one distribution
+        # and the Box-Muller noise has unit variance
         rng = np.random.default_rng(3)
         m = random_gaussian_model(rng, 3, 3)
-        m.sigma = rng.uniform(0.5, 2.0, 3)
         p_true = naive_gaussian_hidden_marginals(m.W.tolist(), m.a.tolist(),
-                                                 m.b.tolist(), m.sigma.tolist())
+                                                 m.b.tolist(), [1.0] * 3)
         gen = np.random.default_rng(49)
-        v = m.a + m.sigma * gen.standard_normal((20_000, 3))
+        v = m.a + gen.standard_normal((20_000, 3))
         counts = np.zeros(8)
         for sweep in range(70):
             v, h = gibbs_sweeps(v, m, m.a, m.b, gen, 1)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from crbm.data import BinaryCodec, ZScoreParams
-from crbm.model import ARCH_BERNOULLI
 from crbm.model_io import FORMAT_VERSION, MAGIC, ModelFile, load_model, save_model
-from helpers import random_bernoulli_model, random_gaussian_model, write_forged_model
+from helpers import random_bernoulli_model, random_gaussian_model, reserved_slot_offset, \
+    write_forged_model, write_model_with_slot
 
 
 def gaussian_file(rng, lag=2):
@@ -44,7 +44,7 @@ class TestRoundtrip:
         assert back.config_text == mf.config_text
         assert back.params.arch == mf.params.arch
         assert back.params.lag == mf.params.lag
-        for name in ("W", "a", "b", "sigma", "A", "B"):
+        for name in ("W", "a", "b", "A", "B"):
             np.testing.assert_array_equal(getattr(back.params, name),
                                           getattr(mf.params, name))
         np.testing.assert_array_equal(back.seed_window, mf.seed_window)
@@ -116,6 +116,27 @@ class TestFormatGuards:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("make", [gaussian_file, bernoulli_file])
+    def test_reserved_slot_holds_ones(self, tmp_path, make):
+        # the n_visible doubles after a and b, where the Gaussian scales were
+        mf = make(np.random.default_rng(210))
+        path = tmp_path / "m.crbm"
+        save_model(mf, path)
+        blob, offset = path.read_bytes(), reserved_slot_offset(mf)
+        nv, nh = mf.params.n_visible, mf.params.n_hidden
+        before = np.frombuffer(blob[offset - 8 * (nv + nh):offset], dtype="<f8")
+        np.testing.assert_array_equal(before, np.concatenate([mf.params.a, mf.params.b]))
+        slot = np.frombuffer(blob[offset:offset + 8 * nv], dtype="<f8")
+        np.testing.assert_array_equal(slot, np.ones(nv))
+
+    @pytest.mark.parametrize("value", [2.0, 0.0, np.nan])
+    def test_reserved_slot_other_than_ones_rejected(self, tmp_path, value):
+        path = tmp_path / "m.crbm"
+        write_model_with_slot(path, gaussian_file(np.random.default_rng(211)), value)
+        with pytest.raises(ValueError, match="sigma") as err:
+            load_model(path)
+        assert "\n" not in str(err.value)
+
     def test_non_regular_file_rejected(self, tmp_path):
         read_end, write_end = os.pipe()
         os.close(write_end)
@@ -149,9 +170,3 @@ class TestModelFileValidation:
         with pytest.raises(ValueError, match="width"):
             ModelFile(params=m, codec=codec, asset_names=["a", "b"], seed=0,
                       seed_window=np.zeros(0))
-
-    def test_mode_property(self):
-        rng = np.random.default_rng(209)
-        assert gaussian_file(rng).mode == "continuous"
-        assert bernoulli_file(rng).mode == "binary"
-        assert bernoulli_file(rng).params.arch == ARCH_BERNOULLI

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crbm.data import EncodedSeries, MODE_BINARY, MODE_CONTINUOUS
+from crbm.data import EncodedSeries
 from crbm.dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, free_energy, sigmoid
 from crbm.training import (
@@ -84,7 +84,6 @@ class TestInitParams:
     def test_biases_zero_weights_small(self):
         m = init_params(50, 40, 0, ARCH_BERNOULLI, seed=3)
         assert not m.a.any() and not m.b.any()
-        np.testing.assert_array_equal(m.sigma, 1.0)
         assert 0.005 < m.W.std() < 0.02  # ~N(0, 0.01^2)
 
 
@@ -114,9 +113,9 @@ class TestPcdGradients:
             for v, w in zip(vs, ws):
                 bbias = m.b + w @ m.B
                 abias = m.a + w @ m.A
-                p = np.array(naive_hidden_probs(v, m.W, bbias, m.sigma, m.arch))
-                stat_a = (v - abias) / m.sigma**2
-                gW += np.outer(v / m.sigma, p) / n
+                p = np.array(naive_hidden_probs(v, m.W, bbias, np.ones(3), m.arch))
+                stat_a = v - abias
+                gW += np.outer(v, p) / n
                 ga += stat_a / n
                 gb += p / n
                 gA += np.outer(w, stat_a) / n
@@ -230,7 +229,7 @@ class TestApplyUpdate:
 class TestTrain:
     def gaussian_series(self, n=400, seed=90):
         rng = np.random.default_rng(seed)
-        return EncodedSeries(rng.normal(size=(n, 2)) * 2.0, MODE_CONTINUOUS)
+        return EncodedSeries(rng.normal(size=(n, 2)) * 2.0, ARCH_GAUSSIAN)
 
     def test_bitwise_deterministic(self):
         cfg = TrainConfig(seed=4, epochs=3, lag=2, n_hidden=6, n_chains=8,
@@ -252,20 +251,18 @@ class TestTrain:
         assert rep.params.arch == ARCH_GAUSSIAN
         assert rep.params.lag == 1
 
-    def test_gaussian_reconstruction_honours_sigma(self):
-        # the mean-field visible center is a + A w + sigma * (W p), as in the sampler
+    def test_gaussian_reconstruction_center(self):
+        # the mean-field visible center is a + A w + W p, as in the sampler
         rng = np.random.default_rng(91)
         m = random_gaussian_model(rng, 3, 4, lag=1)
-        m.sigma = np.array([0.5, 1.0, 2.0])
         m.A = rng.normal(size=(3, 3)) * 0.2
         m.B = rng.normal(size=(3, 4)) * 0.2
         windows, targets = build_windows(rng.normal(size=(20, 3)), lag=1)
         total = 0.0
         for w, v in zip(windows, targets):
-            p = naive_hidden_probs(v, m.W, m.b + w @ m.B, m.sigma, m.arch)
+            p = naive_hidden_probs(v, m.W, m.b + w @ m.B, np.ones(3), m.arch)
             for i in range(3):
-                center = m.a[i] + w @ m.A[:, i] + m.sigma[i] * sum(
-                    m.W[i, j] * p[j] for j in range(4))
+                center = m.a[i] + w @ m.A[:, i] + sum(m.W[i, j] * p[j] for j in range(4))
                 total += (v[i] - center) ** 2
         assert reconstruction_mse(windows, targets, m) == pytest.approx(
             total / targets.size, rel=1e-12)
@@ -278,7 +275,7 @@ class TestTrain:
 
     def test_binary_mode_trains_bernoulli(self):
         rng = np.random.default_rng(91)
-        enc = EncodedSeries((rng.random((120, 4)) < 0.4).astype(float), MODE_BINARY)
+        enc = EncodedSeries((rng.random((120, 4)) < 0.4).astype(float), ARCH_BERNOULLI)
         cfg = TrainConfig(seed=2, epochs=2, lag=1, n_hidden=3, n_chains=4,
                           batch_size=16)
         rep = train(enc, cfg)
@@ -315,7 +312,7 @@ class TestTrain:
         windows, targets = build_windows(series, cfg.lag)
         assert targets.shape[0] >= 3 * 128
         abias, bbias = dynamic_visible_bias(windows, m), dynamic_hidden_bias(windows, m)
-        recon = abias + m.sigma * (sigmoid(bbias + targets / m.sigma @ m.W) @ m.W.T)
+        recon = abias + sigmoid(bbias + targets @ m.W) @ m.W.T
         assert rep.recon_mse[-1] == pytest.approx(np.mean((targets - recon) ** 2), rel=1e-12)
         assert reconstruction_mse(windows, targets, m) == rep.recon_mse[-1]
         fe = free_energy(targets, m, abias, bbias)
