@@ -8,8 +8,8 @@ after decoding.
 import numpy as np
 
 from crbm.data import EncodedSeries
-from crbm.diagnostics import correlation_fidelity
-from crbm.generation import generate, summary_stats
+from crbm.diagnostics import correlation_fidelity, summary_stats
+from crbm.generation import generate
 from crbm.model import ARCH_GAUSSIAN
 from crbm.training import TrainConfig, train
 

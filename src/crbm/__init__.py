@@ -17,10 +17,12 @@ from .data import (
 from .diagnostics import (
     CorrelationFidelity,
     FreeEnergySeries,
+    SummaryStats,
     correlation_fidelity,
     free_energy_series,
     qq_table,
     regime_flags,
+    summary_stats,
 )
 from .dynamics import (
     build_windows,
@@ -29,7 +31,7 @@ from .dynamics import (
     dynamic_hidden_bias,
     dynamic_visible_bias,
 )
-from .generation import SummaryStats, generate, summary_stats
+from .generation import generate
 from .model import (
     ARCH_BERNOULLI,
     ARCH_GAUSSIAN,

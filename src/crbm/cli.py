@@ -7,14 +7,13 @@ state only through files.
 """
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from . import data, diagnostics, generation, model_io, training
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES
 
 SYNTHETIC_FILENAME = "synthetic.csv"
 REPORT_FILENAME = "train_report.csv"
@@ -23,17 +22,39 @@ ENERGY_FILENAME = "free_energy.csv"
 OVERLAY_FILENAME = "free_energy_overlay.csv"
 
 
-def _fmt(value) -> str:
-    """Full-precision cell: repr round-trips float64 exactly."""
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+def _quote(cell: str) -> str:
+    """A text cell as csv.writer's minimal quoting writes it; ``cell``
+    itself when it needs no quotes."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
-def _write_csv(path, header, rows) -> None:
+def _cells(column) -> list:
+    """One column's cells: a float array by repr, which round-trips float64
+    exactly, another array by str, and anything else by str, quoted."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    cells = list(map(str, column))
+    text = "".join(cells)
+    # one scan tells whether any cell of the block needs quotes
+    return cells if _quote(text) is text else list(map(_quote, cells))
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header``, as csv.writer would.
+
+    Rows are formatted and written in blocks, one write per block. A
+    formatted cell holds about 128 bytes of Python objects (the value, its
+    text, their list slots), so a block holds about READ_AHEAD_BYTES.
+    """
+    n_rows = len(columns[0])
+    step = max(1, READ_AHEAD_BYTES // (128 * len(columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        for start in range(0, n_rows, step):
+            rows = zip(*(_cells(column[start:start + step]) for column in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _prepare_output_dir(path) -> str:
@@ -81,8 +102,8 @@ def cmd_train(args) -> int:
     report_path = os.path.join(out_dir, REPORT_FILENAME)
     _write_csv(report_path,
                ["epoch", "recon_mse", "free_energy_train", "free_energy_holdout"],
-               [(e, report.recon_mse[e], report.free_energy_train[e],
-                 report.free_energy_holdout[e]) for e in range(cfg.epochs)])
+               [np.arange(cfg.epochs), report.recon_mse, report.free_energy_train,
+                report.free_energy_holdout])
     if series.n_dropped:
         print(f"dropped {series.n_dropped} malformed input row(s)")
     print(f"trained on {train_split.n_rows} rows; wrote {model_path} and {report_path}")
@@ -98,7 +119,7 @@ def cmd_generate(args) -> int:
     out_dir = _prepare_output_dir(args.output_dir)
     out_path = os.path.join(out_dir, SYNTHETIC_FILENAME)
     _write_csv(out_path, ["step"] + list(mf.asset_names),
-               [(t, *values[t]) for t in range(values.shape[0])])
+               [np.arange(values.shape[0]), *values.T])
     print(f"wrote {values.shape[0]} synthetic rows to {out_path}")
     return 0
 
@@ -131,17 +152,14 @@ def cmd_energy(args) -> int:
 
     out_dir = _prepare_output_dir(args.output_dir)
     energy_path = os.path.join(out_dir, ENERGY_FILENAME)
-    rows = [(fe.labels[i].isoformat(), fe.total[i], fe.quadratic[i],
-             fe.structural[i], int(flags[i])) for i in range(len(fe))]
-    _write_csv(energy_path, ["date", "total", "quadratic", "structural", "flag"], rows)
+    header = ["date", "total", "quadratic", "structural", "flag"]
+    columns = [fe.labels, fe.total, fe.quadratic, fe.structural, flags.astype(np.int8)]
+    _write_csv(energy_path, header, columns)
     written = [energy_path]
     if overlay is not None:
         overlay_path = os.path.join(out_dir, OVERLAY_FILENAME)
-        aligned = overlay[mf.params.lag:]
-        _write_csv(overlay_path,
-                   ["date", "total", "quadratic", "structural", "flag",
-                    args.overlay_column],
-                   [row + (aligned[i],) for i, row in enumerate(rows)])
+        _write_csv(overlay_path, header + [args.overlay_column],
+                   columns + [overlay[mf.params.lag:]])
         written.append(overlay_path)
     if args.flag_window >= len(fe):
         print(f"no row can be flagged: --flag-window {args.flag_window} is not below "
@@ -156,8 +174,7 @@ def _safe_filename(name: str) -> str:
 
 
 def _write_corr_csv(path, names, matrix) -> None:
-    _write_csv(path, ["asset"] + list(names),
-               [(names[i], *matrix[i]) for i in range(len(names))])
+    _write_csv(path, ["asset"] + list(names), [names, *matrix.T])
 
 
 def cmd_stats(args) -> int:
@@ -174,29 +191,32 @@ def cmd_stats(args) -> int:
                                   n_quantiles=args.qq_quantiles)
         _write_csv(os.path.join(out_dir, f"qq_{_safe_filename(name)}.csv"),
                    ["level", "real", "synthetic"],
-                   zip(qq.levels, qq.real, qq.synthetic))
+                   [qq.levels, qq.real, qq.synthetic])
 
     fidelity = diagnostics.correlation_fidelity(real.values, synth.values)
     _write_corr_csv(os.path.join(out_dir, "corr_real.csv"), names, fidelity.real)
     _write_corr_csv(os.path.join(out_dir, "corr_synth.csv"), names, fidelity.synthetic)
     _write_corr_csv(os.path.join(out_dir, "corr_diff.csv"), names, fidelity.difference)
 
-    summaries = [("real", generation.summary_stats(real.values, names)),
-                 ("synthetic", generation.summary_stats(synth.values, names))]
-    q_names = [f"q{level:g}" for level in generation.QUANTILE_LEVELS]
-    summary_rows = []
-    autocorr_rows = []
-    for label, s in summaries:
-        for j, name in enumerate(names):
-            summary_rows.append((label, name, s.mean[j], s.std[j], s.skewness[j],
-                                 s.excess_kurtosis[j], *s.quantiles[:, j]))
-            autocorr_rows.extend((label, name, int(lag), s.sq_autocorr[k, j])
-                                 for k, lag in enumerate(s.sq_autocorr_lags))
+    series = ["real", "synthetic"]
+    stats = [diagnostics.summary_stats(real.values, names),
+             diagnostics.summary_stats(synth.values, names)]
+    # one row per series and asset, in that order
+    moments = [np.concatenate([getattr(s, field) for s in stats])
+               for field in ("mean", "std", "skewness", "excess_kurtosis")]
+    q_names = [f"q{level:g}" for level in diagnostics.QUANTILE_LEVELS]
     _write_csv(os.path.join(out_dir, "summary.csv"),
-               ["series", "asset", "mean", "std", "skewness", "excess_kurtosis",
-                *q_names], summary_rows)
+               ["series", "asset", "mean", "std", "skewness", "excess_kurtosis", *q_names],
+               [[label for label in series for _ in names], names * len(series), *moments,
+                *np.hstack([s.quantiles for s in stats])])
+    # one row per series, asset and lag, in that order
+    lags = stats[0].sq_autocorr_lags
     _write_csv(os.path.join(out_dir, "sq_autocorr.csv"),
-               ["series", "asset", "lag", "autocorr"], autocorr_rows)
+               ["series", "asset", "lag", "autocorr"],
+               [[label for label in series for _ in names for _ in lags],
+                [name for _ in series for name in names for _ in lags],
+                np.tile(lags, len(series) * len(names)),
+                np.concatenate([s.sq_autocorr.T.ravel() for s in stats])])
     print(f"correlation fidelity score: {fidelity.score!r}")
     print(f"wrote fidelity CSVs to {out_dir}")
     return 0

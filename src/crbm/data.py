@@ -8,13 +8,13 @@ may fall outside the fitted range; binary encoding clips them.
 """
 
 import csv
-import math
+import itertools
 from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
 
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES
 
 
 @dataclass
@@ -145,15 +145,65 @@ class EncodedSeries:
         return self.matrix.shape[1]
 
 
+def _parse_block(lines, parse_label, label_idx: int, n_cols: int):
+    """Parse lines of one label cell and numeric cells with one C call.
+
+    Returns ``(labels, values)`` for the rows, with empty lines skipped.
+    Raises ValueError when any row is ragged or has a label or cell that
+    does not parse; the caller then reads the lines row by row.
+    """
+    labels = []
+
+    def label(cell):
+        labels.append(parse_label(cell))
+        return 0.0
+
+    block = np.loadtxt(lines, delimiter=",", comments=None, converters={label_idx: label},
+                       ndmin=2)
+    if block.shape[1] != n_cols or len(labels) != block.shape[0]:
+        raise ValueError("ragged block")
+    return labels, np.delete(block, label_idx, axis=1)
+
+
+def _parse_rows(reader, parse_label, label_idx: int, n_cols: int, labels, values) -> int:
+    """Append the label and cells of each csv row to ``labels`` and ``values``.
+
+    A row with the wrong cell count or a label or cell that does not parse
+    is dropped; returns how many were. Non-finite cells are kept.
+    """
+    n_dropped = 0
+    for row in reader:
+        if len(row) != n_cols:
+            n_dropped += 1
+            continue
+        try:
+            label = parse_label(row.pop(label_idx))
+            values.extend([float(cell) for cell in row])
+        except ValueError:
+            n_dropped += 1
+            continue
+        labels.append(label)
+    return n_dropped
+
+
 def _read_rows(path, parse_label, label_kind: str, label_column: str | None = None):
-    """Stream the rows of a headered CSV of one label column and numeric cells.
+    """Read the rows of a headered CSV of one label column and numeric cells.
 
     Returns ``(labels, values, asset_names, n_dropped)`` in file order, with
     ``values`` a (rows, assets) matrix. ``label_column`` names the label
     column (default: the first); ``parse_label`` turns its cell into the
     label. A row with the wrong cell count, a label or cell that does not
-    parse, or a non-finite cell is dropped and counted. Rows are parsed as
-    they are read, so no copy of the file's text is held.
+    parse, or a non-finite cell is dropped and counted; so is an empty line.
+
+    The file is read in blocks of about READ_AHEAD_BYTES of lines, and each
+    block is parsed with one ``np.loadtxt`` call. A block that call rejects,
+    or whose text it would read differently from ``csv``, is read row by row
+    with ``csv`` instead: a line longer than the csv field limit, a NUL
+    (which ``csv`` refuses before Python 3.11), or one of the separators
+    \\x1c-\\x1f (which ``loadtxt`` strips as whitespace and ``float`` does
+    not). A quoted cell may span lines, so from the first block that holds
+    a ``"`` the rest of the file is read row by row. What ``csv`` refuses,
+    such as a cell over its field limit, is a ValueError naming the line.
     """
     # a lazy import: the extension adds about 0.1 MiB of RSS to commands
     # that read no CSV, such as generate
@@ -165,6 +215,8 @@ def _read_rows(path, parse_label, label_kind: str, label_column: str | None = No
             header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         if len(header) < 2:
             raise ValueError(f"{path}: need a {label_kind} column plus at least one asset column")
         if label_column is None:
@@ -174,27 +226,41 @@ def _read_rows(path, parse_label, label_kind: str, label_column: str | None = No
         else:
             raise ValueError(f"{path}: no column named {label_column!r}")
         asset_names = header[:label_idx] + header[label_idx + 1:]
-        labels = []
-        values = array("d")
-        n_dropped = 0
-        for row in reader:
-            if len(row) != len(header):
-                n_dropped += 1
-                continue
+        n_cols = len(header)
+        labels, values, n_dropped = [], array("d"), 0
+        line = reader.line_num
+        while lines := fh.readlines(READ_AHEAD_BYTES):
+            text = "".join(lines)
+            if '"' in text:
+                lines = itertools.chain(lines, fh)
+            # loadtxt warns on a block of empty lines only, which holds no row
+            elif (text.strip("\r\n") and max(map(len, lines)) <= csv.field_size_limit()
+                  and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")):
+                try:
+                    block_labels, block = _parse_block(lines, parse_label, label_idx, n_cols)
+                except ValueError:
+                    pass
+                else:
+                    labels += block_labels
+                    values.frombytes(memoryview(block).cast("B"))
+                    n_dropped += len(lines) - len(block_labels)
+                    line += len(lines)
+                    continue
+            reader = csv.reader(lines)
             try:
-                label = parse_label(row.pop(label_idx))
-                vals = [float(cell) for cell in row]
-            except ValueError:
-                n_dropped += 1
-                continue
-            if not all(math.isfinite(v) for v in vals):
-                n_dropped += 1
-                continue
-            labels.append(label)
-            values.extend(vals)
+                n_dropped += _parse_rows(reader, parse_label, label_idx, n_cols, labels, values)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {line + reader.line_num}: {exc}") from None
+            line += reader.line_num
+    values = np.frombuffer(values).reshape(len(labels), n_cols - 1)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        n_dropped += int(np.count_nonzero(~finite))
+        labels = list(itertools.compress(labels, finite))
+        values = values[finite]
     if not labels:
         raise ValueError(f"{path}: no parseable rows")
-    return labels, np.frombuffer(values).reshape(len(labels), -1), asset_names, n_dropped
+    return labels, values, asset_names, n_dropped
 
 
 def _iso_date(text: str) -> Date:
@@ -262,26 +328,6 @@ def _bin_indices(values: np.ndarray, lo, hi, bits: int) -> np.ndarray:
 def _bits_msb_first(indices: np.ndarray, bits: int) -> np.ndarray:
     shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
     return (indices[..., None] >> shifts) & 1
-
-
-def encode_binary(value: float, asset: int, codec: BinaryCodec) -> np.ndarray:
-    """Encode one value for one asset as its MSB-first bit vector."""
-    idx = _bin_indices(np.float64(value), codec.minimum[asset], codec.maximum[asset],
-                       codec.bits_per_asset)
-    return _bits_msb_first(idx, codec.bits_per_asset).astype(np.uint8)
-
-
-def decode_binary(bits: np.ndarray, asset: int, codec: BinaryCodec) -> float:
-    """Invert encode_binary: return the center of the encoded bin."""
-    bits = np.asarray(bits)
-    nbits = codec.bits_per_asset
-    if bits.shape != (nbits,):
-        raise ValueError(f"expected {nbits} bits, got shape {bits.shape}")
-    weights = 1 << np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    idx = int(np.dot(bits.astype(np.int64), weights))
-    lo = codec.minimum[asset]
-    hi = codec.maximum[asset]
-    return float(lo + idx / ((1 << nbits) - 1) * (hi - lo))
 
 
 def binarize(series: RawSeries, codec: BinaryCodec) -> EncodedSeries:

@@ -13,6 +13,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from crbm.data import BinaryCodec, _bin_indices, _bits_msb_first
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams
 from crbm.model_io import FORMAT_VERSION, MAGIC, save_model
 
@@ -114,6 +115,78 @@ def naive_bits(index, bits):
 
 def naive_unquantize(index, lo, hi, bits):
     return lo + index / ((1 << bits) - 1) * (hi - lo)
+
+
+def encode_binary(value: float, asset: int, codec: BinaryCodec) -> np.ndarray:
+    """Encode one value for one asset as its MSB-first bit vector, through
+    the quantizer that ``binarize`` uses."""
+    idx = _bin_indices(np.float64(value), codec.minimum[asset], codec.maximum[asset],
+                       codec.bits_per_asset)
+    return _bits_msb_first(idx, codec.bits_per_asset).astype(np.uint8)
+
+
+def decode_binary(bits: np.ndarray, asset: int, codec: BinaryCodec) -> float:
+    """Invert encode_binary: return the center of the encoded bin."""
+    bits = np.asarray(bits)
+    nbits = codec.bits_per_asset
+    if bits.shape != (nbits,):
+        raise ValueError(f"expected {nbits} bits, got shape {bits.shape}")
+    weights = 1 << np.arange(nbits - 1, -1, -1, dtype=np.int64)
+    idx = int(np.dot(bits.astype(np.int64), weights))
+    lo = codec.minimum[asset]
+    hi = codec.maximum[asset]
+    return float(lo + idx / ((1 << nbits) - 1) * (hi - lo))
+
+
+def naive_read_rows(path, parse_label, label_kind: str, label_column: str | None = None):
+    """Read a headered CSV one ``csv`` row at a time under the drop rule.
+
+    Returns ``(labels, values, asset_names, n_dropped)`` like
+    ``crbm.data._read_rows``: a row with the wrong cell count, a label or
+    cell that does not parse, or a non-finite cell is dropped and counted.
+    A ``csv`` error is a ValueError naming the line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if len(header) < 2:
+            raise ValueError(f"{path}: need a {label_kind} column plus at least one asset column")
+        if label_column is None:
+            label_idx = 0
+        elif label_column in header:
+            label_idx = header.index(label_column)
+        else:
+            raise ValueError(f"{path}: no column named {label_column!r}")
+        asset_names = header[:label_idx] + header[label_idx + 1:]
+        labels = []
+        values = []
+        n_dropped = 0
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    n_dropped += 1
+                    continue
+                try:
+                    label = parse_label(row.pop(label_idx))
+                    vals = [float(cell) for cell in row]
+                except ValueError:
+                    n_dropped += 1
+                    continue
+                if not all(math.isfinite(v) for v in vals):
+                    n_dropped += 1
+                    continue
+                labels.append(label)
+                values.extend(vals)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not labels:
+        raise ValueError(f"{path}: no parseable rows")
+    return labels, np.array(values).reshape(len(labels), -1), asset_names, n_dropped
 
 
 def random_bernoulli_model(rng, nv, nh, scale=0.8, lag=0):

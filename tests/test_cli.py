@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crbm
+from crbm import cli, data
 from crbm.cli import main
 from crbm.data import ZScoreParams
 from crbm.model_io import ModelFile, load_model, save_model
@@ -290,6 +293,24 @@ class TestEnergy:
         out = capsys.readouterr().out
         assert "clipped" not in out and out.startswith("scored 198 rows")
 
+    def test_blocks_of_blank_lines_are_dropped_silently(self, trained, tmp_path, capsys,
+                                                        monkeypatch):
+        # 16-byte blocks put each run of blank lines in blocks of its own, on
+        # which np.loadtxt would warn that the input contained no data
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        padded = tmp_path / "padded.csv"
+        padded.write_text("".join(lines[:50] + ["\n"] * 20 + lines[50:] + ["\r\n"] * 20))
+        assert run("energy", "--model", trained / "model.crbm", "--input", FIXTURE,
+                   "--output-dir", tmp_path / "plain") == 0
+        monkeypatch.setattr(data, "READ_AHEAD_BYTES", 16)
+        assert data.ingest_csv(padded).n_dropped == 40
+        capsys.readouterr()
+        assert run("energy", "--model", trained / "model.crbm", "--input", padded,
+                   "--output-dir", tmp_path / "padded") == 0
+        assert capsys.readouterr().err == ""
+        assert ((tmp_path / "padded" / "free_energy.csv").read_bytes()
+                == (tmp_path / "plain" / "free_energy.csv").read_bytes())
+
     def test_empty_csv_errors(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -323,9 +344,42 @@ class TestStats:
         assert len(auto) == 2 * 3 * 20
         assert {int(r["lag"]) for r in auto} == set(range(1, 21))
 
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
+    def test_cell_over_the_csv_field_limit_is_a_one_line_error(self, tmp_path, capsys, quote):
+        long = tmp_path / "long.csv"
+        long.write_text(f"step,A\n0,1.0\n1,{quote}{'1' * 200_000}{quote}\n2,3.0\n")
+        assert run("stats", "--real", long, "--synthetic", long,
+                   "--output-dir", tmp_path / "st") == 1
+        assert capsys.readouterr().err == (
+            f"error: {long}: line 3: field larger than field limit (131072)\n")
+
     def test_mismatched_columns_error(self, tmp_path, capsys):
         other = tmp_path / "other.csv"
         other.write_text("step,A\n0,1.0\n1,2.0\n")
         assert run("stats", "--real", FIXTURE, "--synthetic", other,
                    "--output-dir", tmp_path / "st") == 1
         assert "differ" in capsys.readouterr().err
+
+
+NAME = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                 st.sampled_from(['a,"b"', "", "c\nd", "e\rf", '"', " x ", "2020-01-01"]))
+
+
+class TestWriteCsv:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(rows=st.lists(st.tuples(NAME, st.floats(), st.integers(-5, 5)), min_size=1,
+                         max_size=8),
+           block_bytes=st.sampled_from([8, 1 << 18]))
+    def test_bytes_match_csv_writer_with_repr(self, tmp_path_factory, rows, block_bytes):
+        header = ["asset", 'a,"b"', "c\nd"]
+        names, floats, ints = (list(col) for col in zip(*rows))
+        out = tmp_path_factory.mktemp("w")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "READ_AHEAD_BYTES", block_bytes)
+            cli._write_csv(out / "new.csv", header,
+                           [names, np.array(floats), np.array(ints)])
+        with open(out / "want.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([name, repr(float(x)), str(k)] for name, x, k in rows)
+        assert (out / "new.csv").read_bytes() == (out / "want.csv").read_bytes()

@@ -5,6 +5,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crbm import data
 
 from crbm.data import (
     BinaryCodec,
@@ -13,10 +17,8 @@ from crbm.data import (
     ZScoreParams,
     binarize,
     chrono_split,
-    decode_binary,
     decode_series,
     destandardize,
-    encode_binary,
     fit_binary_codec,
     fit_zscore,
     ingest_csv,
@@ -24,7 +26,8 @@ from crbm.data import (
     standardize,
 )
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN
-from helpers import naive_bits, naive_quantize, naive_unquantize, write_dated_csv
+from helpers import decode_binary, encode_binary, naive_bits, naive_quantize, \
+    naive_read_rows, naive_unquantize, write_dated_csv
 
 
 @pytest.fixture
@@ -290,3 +293,111 @@ class TestStreamingRead:
             tracemalloc.stop()
         assert table.values.shape == (50_000, 8)
         assert peak < 40 * 2**20
+
+
+CLEAN_CELL = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-999, 999).map(str))
+NON_FINITE_CELL = st.sampled_from(["inf", "-inf", "nan", "-nan", "1e400", "-1e400"])
+HOSTILE_CELL = st.sampled_from([
+    "", " ", "x", " 1.5 ", "+2", "1.", ".5", "-0.0", "1e-320", "1_0", "\u0661\u0662",
+    "0x10", "1 2", "\u30001\u3000", "1\x0c", "1\x00", "\ufeff1", '"1,5"', '"2.5"', '""'])
+ISO_DATE = st.dates(date(1900, 1, 1), date(2099, 12, 31)).map(date.isoformat)
+GOOD_LABEL = st.one_of(ISO_DATE, ISO_DATE, ISO_DATE.map(" {} ".format),
+                       ISO_DATE.map(lambda d: d.replace("-", "")))
+BAD_LABEL = st.sampled_from(["2020-02-30", "nope", "", "\u0661", '"2020-01-06"', '"a,b"'])
+
+
+def row(label, cells):
+    return st.tuples(label, st.lists(cells, min_size=2, max_size=2))
+
+
+# Each kind of line is one branch, so every file mixes clean rows, which
+# the bulk parse takes, with the lines that must not change its outcome.
+LINE = st.one_of(
+    row(GOOD_LABEL, CLEAN_CELL),
+    row(GOOD_LABEL, CLEAN_CELL),
+    row(GOOD_LABEL, st.one_of(CLEAN_CELL, NON_FINITE_CELL)),
+    row(GOOD_LABEL, st.one_of(CLEAN_CELL, HOSTILE_CELL)),
+    row(BAD_LABEL, CLEAN_CELL),
+    row(GOOD_LABEL, st.one_of(CLEAN_CELL, st.sampled_from(["\x1c1", "1\x1d", "\x1e", "2\x1f"]))),
+    row(GOOD_LABEL, st.one_of(CLEAN_CELL, st.sampled_from(['"a\nb"', '"1\r\n"']))),
+    st.tuples(GOOD_LABEL, st.lists(CLEAN_CELL, max_size=3).filter(lambda c: len(c) != 2)),
+    st.sampled_from(["", "", " ", "\t", "\x0c", "\x1c"]),
+)
+
+
+@st.composite
+def hostile_csv(draw):
+    """CSV text of a label column and two asset columns, with the line
+    endings, a BOM and the position of the label column drawn too."""
+    label_idx = draw(st.sampled_from([0, 0, 1, 2]))
+    header = ['"B,b"', "C "]
+    header.insert(label_idx, "date")
+    lines = [",".join(header)]
+    for line in draw(st.lists(LINE, max_size=40)):
+        if isinstance(line, str):
+            lines.append(line)
+        else:
+            label, cells = line
+            lines.append(",".join(cells[:label_idx] + [label] + cells[label_idx:]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    return text, label_idx
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderMatchesOracle:
+    """Both readers give exactly what the row-by-row csv oracle gives, with
+    blocks from one line each up to the default size."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(case=hostile_csv(), block_bytes=st.sampled_from([1, 24, 90, 1 << 18]))
+    def test_readers_match_row_by_row_oracle(self, tmp_path_factory, case, block_bytes):
+        text, label_idx = case
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        date_column = None if label_idx == 0 else "date"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "READ_AHEAD_BYTES", block_bytes)
+            series = outcome(ingest_csv, path, date_column=date_column)
+            table = outcome(read_values_csv, path)
+
+        want = outcome(naive_read_rows, path, data._iso_date, "date", date_column)
+        if not isinstance(want, str):
+            dates, values, names, n_dropped = want
+            order = sorted(range(len(dates)), key=dates.__getitem__)
+            dates = [dates[i] for i in order]
+            dup = [d for d, nxt in zip(dates, dates[1:]) if d == nxt]
+            want = (f"{path}: duplicate date {dup[0].isoformat()}" if dup
+                    else (dates, values[order].tobytes(), names, n_dropped))
+        if not isinstance(series, str):
+            series = (series.dates, series.values.tobytes(), series.asset_names,
+                      series.n_dropped)
+        assert series == want
+
+        want = outcome(naive_read_rows, path, str, "label")
+        if not isinstance(want, str):
+            want = (want[0], want[1].tobytes(), want[2], want[3])
+        if not isinstance(table, str):
+            table = (table.labels, table.values.tobytes(), table.asset_names, table.n_dropped)
+        assert table == want
+
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
+    def test_cell_over_the_csv_field_limit_is_the_oracles_error(self, tmp_path, quote):
+        # np.loadtxt has no field limit, so the bulk parse must not take the line
+        path = tmp_path / "long.csv"
+        path.write_text(f"date,A\n2020-01-01,1.0\n2020-01-02,{quote}{'1' * 200_000}{quote}\n")
+        want = f"{path}: line 3: field larger than field limit (131072)"
+        assert outcome(naive_read_rows, path, str, "label") == want
+        assert outcome(read_values_csv, path) == want
+        assert outcome(ingest_csv, path) == want

@@ -138,6 +138,29 @@ class TestRegimeFlags:
         flags = regime_flags(total, window=20, threshold=4.0)
         assert flags[20]
 
+    @pytest.mark.parametrize("window", [2, 60, 5000])
+    def test_blocks_match_one_pass_over_all_windows(self, window):
+        # 60 takes 546 rows a block, so 50,000 rows span 92 blocks
+        rng = np.random.default_rng(113)
+        total = rng.standard_t(3, size=50_000)
+        prior = np.lib.stride_tricks.sliding_window_view(total[:-1], window)
+        cutoff = prior.mean(axis=1) + 2.5 * prior.std(axis=1)
+        flags = regime_flags(total, window=window, threshold=2.5)
+        assert not flags[:window].any()
+        np.testing.assert_array_equal(flags[window:], total[window:] > cutoff)
+        assert flags.sum() > 100
+
+    def test_memory_does_not_grow_with_rows_times_window(self):
+        # one pass over 50,000 rows of 60-row windows peaked at 24 MiB
+        total = np.random.default_rng(114).normal(size=50_000)
+        tracemalloc.start()
+        try:
+            regime_flags(total, window=60, threshold=4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_short_series_and_validation(self):
         assert not regime_flags(np.zeros(3), window=10).any()
         with pytest.raises(ValueError, match="window"):

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from crbm.data import BinaryCodec
+from crbm.diagnostics import QUANTILE_LEVELS, SQ_AUTOCORR_LAGS, summary_stats
 from crbm.dynamics import dynamic_hidden_bias, dynamic_visible_bias
-from crbm.generation import (
-    QUANTILE_LEVELS,
-    SQ_AUTOCORR_LAGS,
-    generate,
-    summary_stats,
-)
+from crbm.generation import generate
 from crbm.model import (ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams,
                         gibbs_step, sweep_width)
 from helpers import random_bernoulli_model, random_gaussian_model, runaway_gaussian_model
