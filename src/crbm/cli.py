@@ -224,9 +224,9 @@ def cmd_stats(args) -> int:
 
 def _parse_date(text: str):
     try:
-        return data.Date.fromisoformat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an ISO date") from None
+        return data._iso_date(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

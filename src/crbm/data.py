@@ -9,6 +9,7 @@ may fall outside the fitted range; binary encoding clips them.
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -195,8 +196,9 @@ def _read_rows(path, parse_label, label_kind: str, label_column: str | None = No
     label. A row with the wrong cell count, a label or cell that does not
     parse, or a non-finite cell is dropped and counted; so is an empty line.
 
-    The file is read in blocks of about READ_AHEAD_BYTES of lines, and each
-    block is parsed with one ``np.loadtxt`` call. A block that call rejects,
+    The file is read in blocks of about READ_AHEAD_BYTES / 4 of lines (larger
+    ones kept more RSS after the read and were no faster), and each block is
+    parsed with one ``np.loadtxt`` call. A block that call rejects,
     or whose text it would read differently from ``csv``, is read row by row
     with ``csv`` instead: a line longer than the csv field limit, a NUL
     (which ``csv`` refuses before Python 3.11), or one of the separators
@@ -229,7 +231,7 @@ def _read_rows(path, parse_label, label_kind: str, label_column: str | None = No
         n_cols = len(header)
         labels, values, n_dropped = [], array("d"), 0
         line = reader.line_num
-        while lines := fh.readlines(READ_AHEAD_BYTES):
+        while lines := fh.readlines(max(READ_AHEAD_BYTES // 4, 1)):
             text = "".join(lines)
             if '"' in text:
                 lines = itertools.chain(lines, fh)
@@ -263,15 +265,23 @@ def _read_rows(path, parse_label, label_kind: str, label_column: str | None = No
     return labels, values, asset_names, n_dropped
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _iso_date(text: str) -> Date:
-    return Date.fromisoformat(text.strip())
+    """The date of an ASCII ``YYYY-MM-DD`` string, surrounding whitespace
+    ignored; the same on every Python (3.11 took 20200105 and 2020-W01-1)."""
+    text = text.strip()
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return Date.fromisoformat(text)
 
 
 def ingest_csv(path, date_column: str | None = None) -> RawSeries:
     """Read a dated multi-asset CSV into a RawSeries.
 
     The header row is required; ``date_column`` names the date column
-    (default: the first column). Dates must be ISO-8601. Any row with an
+    (default: the first column). Dates must be ``YYYY-MM-DD``. Any row with an
     unparseable date, a missing cell, or a non-finite value is dropped and
     counted in ``n_dropped``. Rows are sorted ascending by date.
 
@@ -404,17 +414,16 @@ def decode_series(encoded: EncodedSeries) -> np.ndarray:
 class TableData:
     """Order-preserving CSV payload for fidelity comparisons.
 
-    Unlike ingest_csv the first column is kept as an opaque label (synthetic
-    output uses step indices there), rows are not sorted, and no date parsing
-    is attempted.
+    Unlike ingest_csv the first column is an opaque label, read but not
+    kept (synthetic output uses step indices there), and rows are not sorted.
     """
 
-    labels: list[str]
     values: np.ndarray
     asset_names: list[str]
     n_dropped: int = 0
 
 
 def read_values_csv(path) -> TableData:
-    """Read a CSV of labeled numeric rows, preserving file order."""
-    return TableData(*_read_rows(path, str, "label"))
+    """Read the values of a CSV of labeled numeric rows, preserving file order."""
+    _, values, asset_names, n_dropped = _read_rows(path, lambda cell: None, "label")
+    return TableData(values, asset_names, n_dropped)

@@ -28,6 +28,9 @@ def build_windows(encoded, lag: int,
     extra rows prepended as history (e.g. the tail of a contiguous training
     split) so that no leading targets are dropped.
 
+    Both are views of one (P, (lag + 1) * D') array, each row a window
+    followed by its target, so the pairs take one allocation.
+
     Raises ValueError when fewer than lag + 1 rows are available.
     """
     matrix = encoded.matrix if isinstance(encoded, EncodedSeries) else np.asarray(encoded, dtype=np.float64)
@@ -44,12 +47,10 @@ def build_windows(encoded, lag: int,
     n_pairs = n_rows - lag
     if n_pairs < 1:
         raise ValueError(f"need more than lag={lag} rows, got {n_rows}")
-    if lag == 0:
-        return np.zeros((n_pairs, 0)), full.copy()
-    starts = np.arange(n_pairs)[:, None] + np.arange(lag)[None, :]
-    windows = full[starts].reshape(n_pairs, lag * width)
-    targets = full[lag:].copy()
-    return windows, targets
+    pairs = np.empty((n_pairs, (lag + 1) * width))
+    for k in range(lag + 1):
+        pairs[:, k * width:(k + 1) * width] = full[k:k + n_pairs]
+    return pairs[:, :lag * width], pairs[:, lag * width:]
 
 
 def _check_window(window: np.ndarray, m: ModelParams) -> None:

@@ -17,10 +17,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import EncodedSeries
-from .dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias, score_rows
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, run_chains, sigmoid
-
-PARAM_NAMES = ("W", "a", "b", "A", "B")
+from .dynamics import build_windows, score_rows
+from .model import (ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, Tensors,
+                    run_chains, sigmoid)
 
 DEFAULT_LEARNING_RATE = {ARCH_GAUSSIAN: 1e-3, ARCH_BERNOULLI: 1e-2}
 
@@ -31,12 +30,6 @@ class TrainingDiverged(RuntimeError):
     The message names the first non-finite tensor; ``train`` adds the epoch
     and the batch.
     """
-
-
-def _non_finite(tensors) -> str | None:
-    """Name of the first of W, a, b, A, B of ``tensors`` with a non-finite entry."""
-    return next((name for name in PARAM_NAMES
-                 if not np.all(np.isfinite(getattr(tensors, name)))), None)
 
 
 @dataclass
@@ -151,33 +144,27 @@ class TrainReport:
     params: ModelParams
 
 
-@dataclass
-class GradientBundle:
-    """Log-likelihood ascent directions (data minus model statistics)."""
-
-    W: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    mean_hidden: np.ndarray  # data-phase activation means, for the sparsity term
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([x.ravel() for x in (self.W, self.a, self.b, self.A, self.B)])
-
-
-@dataclass
-class Velocity:
-    W: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
+class _Step(Tensors):
+    """A direction in the parameters' buffer layout."""
 
     @classmethod
-    def zeros_like(cls, m: ModelParams) -> "Velocity":
-        return cls(np.zeros_like(m.W), np.zeros_like(m.a), np.zeros_like(m.b),
-                   np.zeros_like(m.A), np.zeros_like(m.B))
+    def zeros_like(cls, m: ModelParams):
+        new = cls.__new__(cls)
+        new._bind(np.zeros(m.buffer.shape), m.W.shape)
+        return new
+
+
+class GradientBundle(_Step):
+    """Log-likelihood ascent directions (data minus model statistics), with
+    the data-phase mean activation of each hidden unit for the sparsity term."""
+
+    def __init__(self, W, a, b, A, B, mean_hidden):
+        super().__init__(W, a, b, A, B)
+        self.mean_hidden = mean_hidden
+
+
+class Velocity(_Step):
+    """Momentum of each parameter."""
 
 
 @dataclass
@@ -209,9 +196,7 @@ def init_params(n_visible: int, n_hidden: int, lag: int, arch: str, seed) -> Mod
         raise ValueError("model dimensions must be positive")
     rng = np.random.default_rng(seed)
     W = 0.01 * rng.standard_normal((n_visible, n_hidden))
-    return ModelParams(W=W, a=np.zeros(n_visible), b=np.zeros(n_hidden), arch=arch,
-                       A=np.zeros((lag * n_visible, n_visible)),
-                       B=np.zeros((lag * n_visible, n_hidden)), lag=lag)
+    return ModelParams(W=W, a=np.zeros(n_visible), b=np.zeros(n_hidden), arch=arch, lag=lag)
 
 
 def init_chains(windows: np.ndarray, targets: np.ndarray, n_chains: int,
@@ -225,13 +210,6 @@ def init_chains(windows: np.ndarray, targets: np.ndarray, n_chains: int,
                             rngs=ChainStreams(spawn_rngs(streams_seq, n_chains)))
 
 
-def _visible_statistic(v, abias, m: ModelParams):
-    """Sufficient statistic paired with the visible bias gradient."""
-    if m.arch == ARCH_BERNOULLI:
-        return v
-    return v - abias
-
-
 def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
                   cfg: TrainConfig, rng: np.random.Generator):
     """One PCD gradient estimate; advances and returns the persistent chains.
@@ -241,41 +219,52 @@ def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
     current batch, then advanced ``cfg.gibbs_k`` block-Gibbs steps under
     their windows' dynamic biases. Gradients are data-mean minus chain-mean
     statistics and do not depend on the learning rate.
+
+    Both phases run as one stack of rows, batch over chains, in X = [1 |
+    window | v]: X[:, :1 + window] C gives all their biases, and with the
+    statistics T = [visible statistic | P(h | v)] weighted +1/n_data and
+    -1/n_chains, the gradients are X[:, :1 + window]' T for C and v' P for W.
     """
     w_batch, v_batch = batch
     w_batch = np.asarray(w_batch, dtype=np.float64)
     v_batch = np.asarray(v_batch, dtype=np.float64)
-    if v_batch.shape[-1] != m.n_visible or w_batch.shape[-1] != m.window_size:
+    nv, window = m.n_visible, m.window_size
+    if v_batch.shape[-1] != nv or w_batch.shape[-1] != window:
         raise ValueError("batch dimensions inconsistent with model")
+    n_data, n_chains = v_batch.shape[0], chains.n_chains
+    pick = rng.integers(0, n_data, size=n_chains)
 
-    pick = rng.integers(0, v_batch.shape[0], size=chains.n_chains)
-    chains.windows = w_batch[pick].copy()
+    X = np.empty((n_data + n_chains, 1 + window + nv))
+    X[:, 0] = 1.0
+    X[:n_data, 1:1 + window] = w_batch
+    X[:n_data, 1 + window:] = v_batch
+    X[n_data:, 1:1 + window] = w_batch[pick]
+    chains.windows = X[n_data:, 1:1 + window]
+    shifts = X[:, :1 + window] @ m.C
+    chains.v, _ = run_chains(chains.v, m, shifts[n_data:, :nv], shifts[n_data:, nv:],
+                             chains.rngs, cfg.gibbs_k)
+    X[n_data:, 1 + window:] = chains.v
 
-    # positive phase: data statistics under the data windows
-    abias_d = dynamic_visible_bias(w_batch, m)
-    bbias_d = dynamic_hidden_bias(w_batch, m)
-    p_d = sigmoid(bbias_d + v_batch @ m.W)
-    stat_a_d = _visible_statistic(v_batch, abias_d, m)
-    n_data = v_batch.shape[0]
-
-    # negative phase: advance the fantasy particles, then read their statistics
-    abias_c = dynamic_visible_bias(chains.windows, m)
-    bbias_c = dynamic_hidden_bias(chains.windows, m)
-    chains.v, _ = run_chains(chains.v, m, abias_c, bbias_c, chains.rngs, cfg.gibbs_k)
-    p_c = sigmoid(bbias_c + chains.v @ m.W)
-    stat_a_c = _visible_statistic(chains.v, abias_c, m)
-    n_model = chains.n_chains
-
-    grads = GradientBundle(
-        W=v_batch.T @ p_d / n_data - chains.v.T @ p_c / n_model,
-        a=stat_a_d.mean(axis=0) - stat_a_c.mean(axis=0),
-        b=p_d.mean(axis=0) - p_c.mean(axis=0),
-        A=w_batch.T @ stat_a_d / n_data - chains.windows.T @ stat_a_c / n_model,
-        B=w_batch.T @ p_d / n_data - chains.windows.T @ p_c / n_model,
-        mean_hidden=p_d.mean(axis=0),
-    )
-    if not np.all(np.isfinite(grads.flat())):
-        raise TrainingDiverged(f"non-finite gradient of {_non_finite(grads)}")
+    v = X[:, 1 + window:]
+    # the sigmoid runs on a contiguous array: on a column block of T it
+    # takes about twice as long
+    P = v @ m.W
+    P += shifts[:, nv:]
+    T = np.empty(shifts.shape)
+    T[:, nv:] = sigmoid(P, out=P)
+    if m.arch == ARCH_BERNOULLI:
+        T[:, :nv] = v
+    else:
+        np.subtract(v, shifts[:, :nv], out=T[:, :nv])
+    T[:n_data] *= 1.0 / n_data
+    T[n_data:] *= -1.0 / n_chains
+    grads = GradientBundle.zeros_like(m)
+    grads.mean_hidden = T[:n_data, nv:].sum(axis=0)
+    np.matmul(X[:, :1 + window].T, T, out=grads.C)
+    np.matmul(v.T, T[:, nv:], out=grads.W)
+    name = grads.non_finite()
+    if name is not None:
+        raise TrainingDiverged(f"non-finite gradient of {name}")
     return grads, chains
 
 
@@ -284,25 +273,18 @@ def apply_update(m: ModelParams, grads: GradientBundle, velocity: Velocity,
     """Momentum step: v <- mu v + lr (grad - decay W); params <- params + v.
 
     Weight decay touches W only. When a sparsity target is set, the hidden
-    bias gradient gains sparsity_cost * (target - mean activation). Arrays
-    are updated in place; the same objects are returned.
+    bias gradient gains sparsity_cost * (target - mean activation). Each
+    step is one pass over the buffer or the W or b view. Parameters and
+    velocity are updated in place and returned.
     """
     lr = cfg.resolve_learning_rate(m.arch)
-    mu = cfg.momentum
-    grad_b = grads.b
+    velocity.buffer *= cfg.momentum
+    velocity.buffer += lr * grads.buffer
+    velocity.W -= (lr * cfg.weight_decay) * m.W
     if cfg.sparsity_target is not None:
-        grad_b = grad_b + cfg.sparsity_cost * (cfg.sparsity_target - grads.mean_hidden)
-    velocity.W = mu * velocity.W + lr * (grads.W - cfg.weight_decay * m.W)
-    velocity.a = mu * velocity.a + lr * grads.a
-    velocity.b = mu * velocity.b + lr * grad_b
-    velocity.A = mu * velocity.A + lr * grads.A
-    velocity.B = mu * velocity.B + lr * grads.B
-    m.W += velocity.W
-    m.a += velocity.a
-    m.b += velocity.b
-    m.A += velocity.A
-    m.B += velocity.B
-    name = _non_finite(m)
+        velocity.b += (lr * cfg.sparsity_cost) * (cfg.sparsity_target - grads.mean_hidden)
+    m.buffer += velocity.buffer
+    name = m.non_finite()
     if name is not None:
         raise TrainingDiverged(f"non-finite parameter {name} after update")
     return m, velocity

@@ -88,6 +88,17 @@ class TestTrain:
         assert run(*train_args(out, config_path, ["--lag", "1"])) == 0
         assert load_model(out / "model.crbm").params.lag == 1
 
+    @pytest.mark.parametrize("text", ["20200219", "2020-W08-3", "2020-050",
+                                      "\uff12\uff10\uff12\uff10-02-19"])
+    def test_split_date_other_than_year_month_day_is_usage_error(self, tmp_path, config_path,
+                                                                   capsys, text):
+        with pytest.raises(SystemExit) as err:
+            run(*train_args(tmp_path / "out", config_path, ["--split-date", text]))
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "is not a YYYY-MM-DD date" in errors[0]
+        assert not (tmp_path / "out").exists()
+
     def test_split_date_limits_training_rows(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run(*train_args(out, config_path,

@@ -36,6 +36,12 @@ class TestBuildWindows:
             np.testing.assert_array_equal(windows[p], naive_window(matrix, t, 4))
             np.testing.assert_array_equal(targets[p], matrix[t])
 
+    @pytest.mark.parametrize("lag", [0, 3])
+    def test_windows_and_targets_share_one_array(self, lag):
+        windows, targets = build_windows(np.arange(24.0).reshape(8, 3), lag=lag)
+        assert windows.base is not None and windows.base is targets.base
+        assert windows.base.shape == (8 - lag, 3 * (lag + 1))
+
     def test_lag_zero(self):
         matrix = np.arange(12.0).reshape(4, 3)
         windows, targets = build_windows(matrix, lag=0)

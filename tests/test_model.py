@@ -1,6 +1,8 @@
 """Energies, conditionals, Gibbs transitions, and the enumeration oracle."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -102,6 +104,45 @@ class TestModelParams:
         c = m.copy()
         c.W[0, 0] += 1.0
         assert m.W[0, 0] != c.W[0, 0]
+
+    def test_copy_shares_no_memory(self):
+        m = random_bernoulli_model(np.random.default_rng(1), 3, 2, lag=2)
+        c = m.copy()
+        for name in ("buffer", "C", "W", "a", "b", "A", "B"):
+            assert not np.shares_memory(getattr(c, name), getattr(m, name))
+            np.testing.assert_array_equal(getattr(c, name), getattr(m, name))
+        assert (c.arch, c.lag) == (m.arch, m.lag)
+
+    def test_tensors_are_views_of_one_buffer(self):
+        rng = np.random.default_rng(2)
+        m = random_gaussian_model(rng, 3, 2, lag=2)
+        A, B = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        m.A, m.B = A, B
+        np.testing.assert_array_equal(m.W.ravel(), m.buffer[:6])
+        np.testing.assert_array_equal(m.C, np.block([[m.a, m.b], [A, B]]))
+        np.testing.assert_array_equal(m.buffer[6:], m.C.ravel())
+        m.buffer[-1] = 7.0
+        assert m.B[-1, -1] == 7.0
+        with pytest.raises(ValueError, match="shape"):
+            m.A = np.zeros((5, 3))
+        np.testing.assert_array_equal(m.A, A)
+        buffer = m.buffer
+        m.C = np.ones_like(m.C)
+        m.buffer = np.arange(m.buffer.size, dtype=float)
+        assert m.buffer is buffer and m.W.base is buffer
+        np.testing.assert_array_equal(m.B, np.arange(6.0, 41.0).reshape(7, 5)[1:, 3:])
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_clone_has_views_of_its_own_buffer(self, clone):
+        m = random_gaussian_model(np.random.default_rng(3), 3, 2, lag=2)
+        c = clone(m)
+        assert not np.shares_memory(c.buffer, m.buffer)
+        assert (c.arch, c.lag, c.buffer.tobytes()) == (m.arch, m.lag, m.buffer.tobytes())
+        c.buffer += 1.0
+        for name in ("C", "W", "a", "b", "A", "B"):
+            assert getattr(c, name).base is c.buffer
+            np.testing.assert_array_equal(getattr(c, name), getattr(m, name) + 1.0)
 
 
 class TestEnergy:

@@ -49,6 +49,15 @@ class TestRoundtrip:
                                           getattr(mf.params, name))
         np.testing.assert_array_equal(back.seed_window, mf.seed_window)
 
+    @pytest.mark.parametrize("make", [gaussian_file, bernoulli_file])
+    def test_parameter_buffer_survives_exactly(self, tmp_path, make):
+        mf = make(np.random.default_rng(203))
+        path = tmp_path / "m.crbm"
+        save_model(mf, path)
+        back = load_model(path).params
+        assert back.buffer.tobytes() == mf.params.buffer.tobytes()
+        np.testing.assert_array_equal(back.C, mf.params.C)
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         mf = gaussian_file(np.random.default_rng(201))
         p1, p2 = tmp_path / "a.crbm", tmp_path / "b.crbm"

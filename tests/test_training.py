@@ -5,7 +5,8 @@ import pytest
 
 from crbm.data import EncodedSeries
 from crbm.dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias
-from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, free_energy, sigmoid
+from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, PARAM_NAMES, READ_AHEAD_BYTES, \
+    free_energy, sigmoid
 from crbm.training import (
     GradientBundle,
     TrainConfig,
@@ -18,7 +19,27 @@ from crbm.training import (
     reconstruction_mse,
     train,
 )
-from helpers import naive_hidden_probs, random_gaussian_model
+from helpers import naive_hidden_probs, random_bernoulli_model, random_gaussian_model
+
+
+def loop_statistics(m, vs, ws):
+    """Batch means of the PCD statistics (W, a, b, A, B), one row at a time,
+    with scalar-loop hidden probabilities; the b entry is the mean hidden
+    activation."""
+    n, nv, nh = len(vs), m.n_visible, m.n_hidden
+    gW = np.zeros((nv, nh)); ga = np.zeros(nv); gb = np.zeros(nh)
+    gA = np.zeros((m.window_size, nv)); gB = np.zeros((m.window_size, nh))
+    for v, w in zip(vs, ws):
+        bbias = m.b + w @ m.B
+        abias = m.a + w @ m.A
+        p = np.array(naive_hidden_probs(v, m.W, bbias, np.ones(nv), m.arch))
+        stat_a = v if m.arch == ARCH_BERNOULLI else v - abias
+        gW += np.outer(v, p) / n
+        ga += stat_a / n
+        gb += p / n
+        gA += np.outer(w, stat_a) / n
+        gB += np.outer(w, p) / n
+    return gW, ga, gb, gA, gB
 
 
 class TestTrainConfig:
@@ -105,28 +126,54 @@ class TestPcdGradients:
         m, windows, targets, cfg, chains = setup
         grads, chains = pcd_gradients((windows, targets), chains, m, cfg,
                                       np.random.default_rng(2))
-
-        def stats(vs, ws):
-            n = len(vs)
-            gW = np.zeros((3, 4)); ga = np.zeros(3); gb = np.zeros(4)
-            gA = np.zeros((6, 3)); gB = np.zeros((6, 4))
-            for v, w in zip(vs, ws):
-                bbias = m.b + w @ m.B
-                abias = m.a + w @ m.A
-                p = np.array(naive_hidden_probs(v, m.W, bbias, np.ones(3), m.arch))
-                stat_a = v - abias
-                gW += np.outer(v, p) / n
-                ga += stat_a / n
-                gb += p / n
-                gA += np.outer(w, stat_a) / n
-                gB += np.outer(w, p) / n
-            return gW, ga, gb, gA, gB
-
-        pos = stats(targets, windows)
-        neg = stats(chains.v, chains.windows)
+        pos = loop_statistics(m, targets, windows)
+        neg = loop_statistics(m, chains.v, chains.windows)
         for got, p, q in zip((grads.W, grads.a, grads.b, grads.A, grads.B), pos, neg):
             np.testing.assert_allclose(got, p - q, atol=1e-10)
         assert np.all(grads.mean_hidden >= 0) and np.all(grads.mean_hidden <= 1)
+
+    @pytest.mark.parametrize("n_batch", [5, 40])
+    @pytest.mark.parametrize("sparsity", [None, 0.1], ids=["no_sparsity", "sparsity"])
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize("arch", [ARCH_BERNOULLI, ARCH_GAUSSIAN])
+    def test_stacked_update_matches_loop_oracle(self, arch, lag, sparsity, n_batch):
+        # a batch of 5 or 40 pairs, both short of batch_size 64, over 8 chains;
+        # then the update lands in every view as the per-tensor formula says
+        rng = np.random.default_rng(73)
+        nv, nh = 3, 4
+        if arch == ARCH_BERNOULLI:
+            m = random_bernoulli_model(rng, nv, nh, lag=lag)
+            series = (rng.random((n_batch + lag, nv)) < 0.5).astype(float)
+        else:
+            m = random_gaussian_model(rng, nv, nh, lag=lag)
+            series = rng.normal(size=(n_batch + lag, nv))
+        m.A = rng.normal(size=(lag * nv, nv)) * 0.2
+        m.B = rng.normal(size=(lag * nv, nh)) * 0.2
+        windows, targets = build_windows(series, lag)
+        cfg = TrainConfig(seed=1, lag=lag, n_chains=8, batch_size=64, learning_rate=0.05,
+                          sparsity_target=sparsity, sparsity_cost=0.5)
+        assert targets.shape[0] == n_batch < cfg.batch_size
+        chains = init_chains(windows, targets, cfg.n_chains, seed=5)
+        grads, chains = pcd_gradients((windows, targets), chains, m, cfg,
+                                      np.random.default_rng(2))
+        pos = loop_statistics(m, targets, windows)
+        neg = loop_statistics(m, chains.v, chains.windows)
+        for got, p, q in zip((grads.W, grads.a, grads.b, grads.A, grads.B), pos, neg):
+            np.testing.assert_allclose(got, p - q, atol=1e-10)
+        np.testing.assert_allclose(grads.mean_hidden, pos[2], atol=1e-10)
+
+        before = m.copy()
+        apply_update(m, grads, Velocity.zeros_like(m), cfg)
+        lr = cfg.resolve_learning_rate(arch)
+        for name, p, q in zip(PARAM_NAMES, pos, neg):
+            step = lr * (p - q)
+            if name == "W":
+                step -= lr * cfg.weight_decay * before.W
+            if name == "b" and sparsity is not None:
+                step += lr * cfg.sparsity_cost * (sparsity - pos[2])
+            np.testing.assert_allclose(getattr(m, name), getattr(before, name) + step,
+                                       atol=1e-10)
+            assert getattr(m, name).base is m.buffer
 
     def test_deterministic_given_streams(self, setup):
         m, windows, targets, cfg, _ = setup
@@ -135,7 +182,7 @@ class TestPcdGradients:
             chains = init_chains(windows, targets, 8, seed=5)
             grads, _ = pcd_gradients((windows, targets), chains, m, cfg,
                                      np.random.default_rng(2))
-            runs.append(grads.flat())
+            runs.append(grads.buffer)
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_chain_windows_reassigned_from_batch(self, setup):
@@ -215,6 +262,17 @@ class TestApplyUpdate:
         m, grads, vel = self.make(rng)
         grads.A[1, 2] = np.inf
         with pytest.raises(TrainingDiverged, match="^non-finite parameter A after update$"):
+            apply_update(m, grads, vel, TrainConfig(seed=1, learning_rate=0.1))
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_each_view_is_named(self, name):
+        # the buffer is checked as one; the name comes from the view that holds
+        # the bad entry
+        rng = np.random.default_rng(86)
+        m, grads, vel = self.make(rng)
+        getattr(grads, name)[-1] = np.nan
+        assert grads.non_finite() == name
+        with pytest.raises(TrainingDiverged, match=f"^non-finite parameter {name} after update$"):
             apply_update(m, grads, vel, TrainConfig(seed=1, learning_rate=0.1))
 
     def test_in_place_update(self):
