@@ -228,7 +228,6 @@ def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
         raise ValueError("asset name count does not match columns")
     levels = np.array(QUANTILE_LEVELS)
     lags = np.array(SQ_AUTOCORR_LAGS)
-    sq = matrix**2
     skewness, excess_kurtosis = _shape_moments(matrix)
     return SummaryStats(
         asset_names=list(asset_names),
@@ -240,6 +239,7 @@ def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
         quantiles=np.quantile(matrix, levels, axis=0),
         correlation=_safe_correlation(matrix),
         sq_autocorr_lags=lags,
-        sq_autocorr=np.column_stack([_autocorrelation(sq[:, j], lags)
+        # one squared column at a time: no (rows, assets) temporary
+        sq_autocorr=np.column_stack([_autocorrelation(matrix[:, j] ** 2, lags)
                                      for j in range(n_assets)]),
     )

@@ -10,6 +10,7 @@ so the window never depends on the target it conditions.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .data import EncodedSeries
 from .model import ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams, _visible_term, sigmoid, \
@@ -28,8 +29,11 @@ def build_windows(encoded, lag: int,
     extra rows prepended as history (e.g. the tail of a contiguous training
     split) so that no leading targets are dropped.
 
-    Both are views of one (P, (lag + 1) * D') array, each row a window
-    followed by its target, so the pairs take one allocation.
+    Both are read-only views of the series (of one stacked copy when
+    ``context`` is given; of a C-ordered copy when the input is not
+    C-contiguous float64): window p is the series' bytes from row p to
+    row p + lag, so rows overlap and nothing grows with rows x lag.
+    Writing into either raises ValueError.
 
     Raises ValueError when fewer than lag + 1 rows are available.
     """
@@ -42,15 +46,17 @@ def build_windows(encoded, lag: int,
             raise ValueError(f"context must be exactly {lag} rows of width {matrix.shape[1]}")
         full = np.vstack([context, matrix])
     else:
-        full = matrix
+        full = np.ascontiguousarray(matrix)
     n_rows, width = full.shape
     n_pairs = n_rows - lag
     if n_pairs < 1:
         raise ValueError(f"need more than lag={lag} rows, got {n_rows}")
-    pairs = np.empty((n_pairs, (lag + 1) * width))
-    for k in range(lag + 1):
-        pairs[:, k * width:(k + 1) * width] = full[k:k + n_pairs]
-    return pairs[:, :lag * width], pairs[:, lag * width:]
+    # a C-contiguous array may report any stride along a length-1 axis
+    step = full.itemsize
+    windows = as_strided(full, (n_pairs, lag * width), (width * step, step), writeable=False)
+    targets = full[lag:]
+    targets.flags.writeable = False
+    return windows, targets
 
 
 def _check_window(window: np.ndarray, m: ModelParams) -> None:
@@ -91,9 +97,12 @@ def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
     batches that broadcast against each other.
 
     Rows go through in blocks of READ_AHEAD_BYTES of hidden pre-activation,
-    at least one row each. Each block computes b + B'w + v W once
-    into a buffer that every block reuses, then reads both the softplus and
-    the sigmoid from it, so memory does not grow with rows x hidden units.
+    at least one row each. Each block first copies its windows into one
+    reused contiguous buffer: build_windows' windows overlap, and older
+    numpy runs matmul on such rows outside BLAS, with other rounding. It then
+    computes b + B'w + v W once into a buffer that every block reuses, and
+    reads both the softplus and the sigmoid from it, so memory does not
+    grow with rows x hidden units or rows x lag.
     Row results equal the one-shot formula on the same BLAS build as long
     as a block's matrix products round like the full ones.
     """
@@ -109,11 +118,13 @@ def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
     block = max(READ_AHEAD_BYTES // (8 * m.n_hidden), 1)
     pre_buf = np.empty((min(block, n), m.n_hidden))
     work_buf = np.empty_like(pre_buf)
+    window_buf = np.empty((pre_buf.shape[0], m.window_size))
     visible, structural = np.empty(n), np.empty(n)
     sq_err = np.empty((n, m.n_visible)) if squared_error else None
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        pre, work, x, w = pre_buf[:hi - lo], work_buf[:hi - lo], v[lo:hi], window[lo:hi]
+        pre, work, x, w = pre_buf[:hi - lo], work_buf[:hi - lo], v[lo:hi], window_buf[:hi - lo]
+        w[...] = window[lo:hi]
         abias = dynamic_visible_bias(w, m)
         if m.B.size:
             np.matmul(w, m.B, out=pre)

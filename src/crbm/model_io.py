@@ -117,9 +117,14 @@ def _read_struct(fh, fmt: str):
 
 
 def _read_array(fh, shape) -> np.ndarray:
+    """A read-only view of the next float64 values in the file."""
     count = math.prod(shape) if isinstance(shape, tuple) else shape
-    arr = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
-    return arr.reshape(shape).astype(np.float64)
+    return np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").reshape(shape)
+
+
+def _read_copy(fh, count: int) -> np.ndarray:
+    """A writable native float64 copy of the next count values."""
+    return _read_array(fh, count).astype(np.float64)
 
 
 def _read_str(fh, width: str) -> str:
@@ -146,12 +151,12 @@ def load_model(path) -> ModelFile:
         codec_code = _read_struct(fh, "<B")
         if codec_code == _CODEC_BINARY:
             bits = _read_struct(fh, "<I")
-            codec = BinaryCodec(minimum=_read_array(fh, n_assets),
-                                maximum=_read_array(fh, n_assets),
+            codec = BinaryCodec(minimum=_read_copy(fh, n_assets),
+                                maximum=_read_copy(fh, n_assets),
                                 bits_per_asset=bits)
         elif codec_code == _CODEC_ZSCORE:
-            codec = ZScoreParams(mu=_read_array(fh, n_assets),
-                                 sigma=_read_array(fh, n_assets))
+            codec = ZScoreParams(mu=_read_copy(fh, n_assets),
+                                 sigma=_read_copy(fh, n_assets))
         else:
             raise ValueError(f"{path}: unknown codec code {codec_code}")
         a = _read_array(fh, n_visible)
@@ -161,10 +166,11 @@ def load_model(path) -> ModelFile:
         W = _read_array(fh, (n_visible, n_hidden))
         A = _read_array(fh, (lag * n_visible, n_visible))
         B = _read_array(fh, (lag * n_visible, n_hidden))
-        seed_window = _read_array(fh, lag * n_visible)
+        seed_window = _read_copy(fh, lag * n_visible)
         config_text = _read_str(fh, "I")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after model payload")
+    # the parameter views of the file bytes are copied once, into the buffer
     params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
     return ModelFile(params=params, codec=codec, asset_names=asset_names,
                      seed=seed, seed_window=seed_window, config_text=config_text)

@@ -27,8 +27,7 @@ def crbm_function_names():
     """__name__ of every crbm callable bound to a crbm module attribute, as
     the tracer's install sees them."""
     modules = [crbm] + [importlib.import_module(f"crbm.{info.name}")
-                        for info in pkgutil.iter_modules(crbm.__path__)
-                        if info.name != "__main__"]  # importing it runs the CLI
+                        for info in pkgutil.iter_modules(crbm.__path__)]
     return {getattr(value, "__name__", None)
             for mod in modules for value in vars(mod).values()
             if callable(value) and getattr(value, "__module__", "").startswith("crbm")}

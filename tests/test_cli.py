@@ -1,6 +1,7 @@
 """Command-line behavior: files written, error paths, exit codes."""
 
 import csv
+import importlib
 import os
 import subprocess
 import sys
@@ -204,6 +205,13 @@ class TestStartup:
                     if line.startswith("import time:")]
         assert "crbm.cli" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+    def test_importing_main_module_runs_nothing(self, monkeypatch):
+        # `python -m crbm --help` itself is run by test_help_loads_no_scipy
+        monkeypatch.setattr(sys, "argv", ["crbm", "--no-such-flag"])
+        monkeypatch.delitem(sys.modules, "crbm.__main__", raising=False)
+        assert importlib.import_module("crbm.__main__").main is main
 
 
 class TestEnergy:

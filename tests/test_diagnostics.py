@@ -100,6 +100,21 @@ class TestFreeEnergySeries:
         assert len(fe) == 19_998
         assert peak < 8 << 20
 
+    def test_memory_does_not_grow_with_rows_times_lag(self):
+        # copying every (window, target) pair of 20,000 rows x 8 assets at
+        # lag 5 peaked at 8.7 MiB; the windows are views of the series now
+        rng = np.random.default_rng(107)
+        m = crbm(rng, nv=8, nh=64, lag=5)
+        enc = EncodedSeries(rng.normal(size=(20_000, 8)), ARCH_GAUSSIAN)
+        tracemalloc.start()
+        try:
+            fe = free_energy_series(enc, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fe) == 19_995
+        assert peak < 2.5 * 2**20
+
 
 class TestRegimeFlags:
     def test_constant_series_never_flags(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crbm import dynamics
 from crbm.data import EncodedSeries
 from crbm.dynamics import (
     build_windows,
@@ -37,10 +38,49 @@ class TestBuildWindows:
             np.testing.assert_array_equal(targets[p], matrix[t])
 
     @pytest.mark.parametrize("lag", [0, 3])
-    def test_windows_and_targets_share_one_array(self, lag):
-        windows, targets = build_windows(np.arange(24.0).reshape(8, 3), lag=lag)
-        assert windows.base is not None and windows.base is targets.base
-        assert windows.base.shape == (8 - lag, 3 * (lag + 1))
+    def test_views_share_memory_with_the_series(self, lag):
+        matrix = np.arange(24.0).reshape(8, 3)
+        windows, targets = build_windows(matrix, lag=lag)
+        assert np.shares_memory(targets, matrix)
+        if lag:
+            assert np.shares_memory(windows, matrix)
+            assert np.shares_memory(windows, targets)
+        # successive windows start one series row apart
+        assert windows.strides == targets.strides[:1] + (8,)
+
+    def test_context_views_share_one_stacked_copy(self):
+        context, matrix = np.zeros((3, 2)), np.ones((4, 2))
+        windows, targets = build_windows(matrix, lag=3, context=context)
+        assert np.shares_memory(windows, targets)
+        assert not np.shares_memory(targets, matrix)
+        assert not np.shares_memory(windows, context)
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize("with_context", [False, True])
+    def test_views_are_read_only(self, lag, with_context):
+        matrix = np.arange(15.0).reshape(5, 3)
+        context = np.zeros((lag, 3)) if with_context else None
+        windows, targets = build_windows(matrix, lag=lag, context=context)
+        for view in (windows, targets):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
+        assert matrix.flags.writeable
+        np.testing.assert_array_equal(matrix, np.arange(15.0).reshape(5, 3))
+
+    @pytest.mark.parametrize("layout", ["fortran", "reversed", "column_slice", "one_column"])
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_any_input_layout_matches_naive(self, layout, lag):
+        base = np.random.default_rng(60).normal(size=(9, 4))
+        matrix = {"fortran": np.asfortranarray(base),
+                  "reversed": base[::-1],
+                  "column_slice": base[:, 1:3],
+                  # C-contiguous with a zero stride along its length-1 axis
+                  "one_column": np.arange(9.0)[:, None]}[layout]
+        windows, targets = build_windows(matrix, lag=lag)
+        for p, t in enumerate(range(lag, 9)):
+            np.testing.assert_array_equal(windows[p], naive_window(matrix, t, lag))
+            np.testing.assert_array_equal(targets[p], matrix[t])
 
     def test_lag_zero(self):
         matrix = np.arange(12.0).reshape(4, 3)
@@ -214,6 +254,31 @@ class TestBlockedScoring:
         m, v, w = scoring_case(np.random.default_rng(74), ARCH_GAUSSIAN, 4, 5, 2)
         with pytest.raises(ValueError, match="window length"):
             score_rows(v, w[:, :-1], m)
+
+    @pytest.mark.parametrize("arch", [ARCH_BERNOULLI, ARCH_GAUSSIAN])
+    @pytest.mark.parametrize("nv,nh,lag", [(1, 1, 1), (3, 4, 2), (4, 16, 5), (2, 7, 0)])
+    def test_overlapping_windows_score_like_a_copy(self, monkeypatch, arch, nv, nh, lag):
+        # blocks of 13 rows split the 50-row series mid-way, several times
+        monkeypatch.setattr(dynamics, "READ_AHEAD_BYTES", 8 * nh * 13)
+        rng = np.random.default_rng(2000 + 10 * nv + nh + lag)
+        m, series, _ = scoring_case(rng, arch, 50, nh, lag, nv=nv)
+        windows, targets = build_windows(series, lag)
+        for got, want in zip(score_rows(targets, windows, m, squared_error=True),
+                             score_rows(np.array(targets), np.array(windows), m,
+                                        squared_error=True)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_blocks_hand_matmul_contiguous_windows(self, monkeypatch):
+        # older numpy multiplies overlapping rows outside BLAS; 2.4 copies them itself
+        monkeypatch.setattr(dynamics, "READ_AHEAD_BYTES", 8 * 5 * 7)
+        rng = np.random.default_rng(2100)
+        m, series, _ = scoring_case(rng, ARCH_GAUSSIAN, 30, 5, 3)
+        windows, targets = build_windows(series, 3)
+        seen, visible_bias = [], dynamics.dynamic_visible_bias
+        monkeypatch.setattr(dynamics, "dynamic_visible_bias",
+                            lambda w, m: seen.append(w.flags.c_contiguous) or visible_bias(w, m))
+        score_rows(targets, windows, m)
+        assert len(seen) == 4 and all(seen)
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data(), n_hidden=st.integers(1, 300), lag=st.integers(0, 3),

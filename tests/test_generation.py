@@ -1,12 +1,14 @@
 """Autoregressive synthesis and the summary statistics block."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from crbm.data import BinaryCodec
-from crbm.diagnostics import QUANTILE_LEVELS, SQ_AUTOCORR_LAGS, summary_stats
+from crbm.diagnostics import QUANTILE_LEVELS, SQ_AUTOCORR_LAGS, _autocorrelation, \
+    summary_stats
 from crbm.dynamics import dynamic_hidden_bias, dynamic_visible_bias
 from crbm.generation import generate
 from crbm.model import (ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams,
@@ -196,6 +198,23 @@ class TestSummaryStats:
         assert np.all(np.isnan(s.skewness[:2])) and np.all(np.isnan(s.excess_kurtosis[:2]))
         assert np.isfinite(s.skewness[2]) and np.isfinite(s.excess_kurtosis[2])
         assert np.all(np.isnan(s.correlation[:2, 2])) and s.correlation[0, 0] == 1.0
+
+    def test_sq_autocorr_matches_squaring_the_whole_matrix(self):
+        x = np.random.default_rng(24).standard_t(4, size=(5_000, 3))
+        want = np.column_stack([_autocorrelation((x**2)[:, j], SQ_AUTOCORR_LAGS)
+                                for j in range(3)])
+        assert summary_stats(x).sq_autocorr.tobytes() == want.tobytes()
+
+    def test_peak_memory_holds_no_squared_matrix(self):
+        # squaring all 50,000 x 8 values at once peaked at 3.0 x the input
+        x = np.random.default_rng(25).standard_t(4, size=(50_000, 8))
+        tracemalloc.start()
+        try:
+            summary_stats(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two rows"):

@@ -75,6 +75,19 @@ class TestRoundtrip:
         np.testing.assert_array_equal(back.codec.minimum, mf.codec.minimum)
         np.testing.assert_array_equal(back.codec.maximum, mf.codec.maximum)
 
+    @pytest.mark.parametrize("make", [gaussian_file, bernoulli_file])
+    def test_parameters_land_in_the_buffer_and_the_rest_stays_writable(self, tmp_path, make):
+        path = tmp_path / "m.crbm"
+        save_model(make(np.random.default_rng(204)), path)
+        back = load_model(path)
+        for name in ("W", "a", "b", "A", "B"):
+            view = getattr(back.params, name)
+            assert view.base is back.params.buffer and view.flags.writeable
+        codec_arrays = [a for a in vars(back.codec).values() if isinstance(a, np.ndarray)]
+        assert len(codec_arrays) == 2
+        for arr in codec_arrays + [back.seed_window]:
+            assert arr.flags.writeable and arr.dtype == np.float64
+
 
 class TestFormatGuards:
     def test_bad_magic(self, tmp_path):
