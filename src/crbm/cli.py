@@ -135,7 +135,8 @@ def cmd_energy(args) -> int:
                              f"{args.input} (columns: {', '.join(series.asset_names)})")
         keep = [i for i, name in enumerate(series.asset_names)
                 if name != args.overlay_column]
-        overlay = series.values[:, series.asset_names.index(args.overlay_column)]
+        # a copy, so that the raw matrix can go once it is encoded
+        overlay = series.values[:, series.asset_names.index(args.overlay_column)].copy()
         series = data.RawSeries(dates=series.dates, values=series.values[:, keep],
                                 asset_names=[series.asset_names[i] for i in keep],
                                 n_dropped=series.n_dropped)
@@ -144,6 +145,7 @@ def cmd_energy(args) -> int:
         raise ValueError(f"input asset columns {series.asset_names} do not match "
                          f"the model's {list(mf.asset_names)}")
     encoded = _encode_with(series, mf.codec)
+    del series
     if encoded.n_clipped:
         print(f"clipped {encoded.n_clipped} cell(s) to the model's fitted range")
     fe = diagnostics.free_energy_series(encoded, mf.params)

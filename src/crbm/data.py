@@ -9,6 +9,7 @@ may fall outside the fitted range; binary encoding clips them.
 
 import csv
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date as Date
@@ -283,18 +284,22 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
     The header row is required; ``date_column`` names the date column
     (default: the first column). Dates must be ``YYYY-MM-DD``. Any row with an
     unparseable date, a missing cell, or a non-finite value is dropped and
-    counted in ``n_dropped``. Rows are sorted ascending by date.
+    counted in ``n_dropped``. Rows are sorted ascending by date; when the
+    file's dates already ascend, ``values`` is the parsed matrix itself, not
+    a reordered copy.
 
     Raises FileNotFoundError for a missing file and ValueError when no
     parseable rows remain or two rows share a date.
     """
     dates, values, asset_names, n_dropped = _read_rows(path, _iso_date, "date", date_column)
-    order = sorted(range(len(dates)), key=dates.__getitem__)
-    dates = [dates[i] for i in order]
-    for d1, d2 in zip(dates, dates[1:]):
-        if d1 == d2:
-            raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
-    return RawSeries(dates, values[order], asset_names, n_dropped=n_dropped)
+    if not all(map(operator.lt, dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[i] for i in order]
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
+        values = values[order]
+    return RawSeries(dates, values, asset_names, n_dropped=n_dropped)
 
 
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:
@@ -371,10 +376,11 @@ def fit_zscore(train: RawSeries) -> ZScoreParams:
 
 
 def standardize(series: RawSeries, params: ZScoreParams) -> EncodedSeries:
-    """Columnwise (x - mu) / sigma."""
+    """Columnwise (x - mu) / sigma, in one new array."""
     if series.n_assets != params.n_assets:
         raise ValueError("series and z-score params disagree on asset count")
-    matrix = (series.values - params.mu) / params.sigma
+    matrix = series.values - params.mu
+    matrix /= params.sigma
     return EncodedSeries(matrix, ARCH_GAUSSIAN, codec=params, dates=list(series.dates))
 
 

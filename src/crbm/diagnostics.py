@@ -201,19 +201,21 @@ def _autocorrelation(x: np.ndarray, lags) -> np.ndarray:
     return out
 
 
-def _shape_moments(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3.
+def _column_moments(column: np.ndarray, mean: float) -> tuple[float, float, float]:
+    """Population (biased) std, skewness m3 / m2^1.5 and excess kurtosis
+    m4 / m2^2 - 3 of one column about its mean.
 
-    Central moments are population (biased) ones. A constant column gets
-    NaN for both, even when its mean is off by rounding.
+    A constant column gets NaN skewness and kurtosis, even when its mean is
+    off by rounding.
     """
-    dev = matrix - matrix.mean(axis=0)
+    dev = column - mean
     d2 = dev * dev
-    m2 = np.where(np.ptp(matrix, axis=0) == 0.0, np.nan, np.mean(d2, axis=0))
+    m2 = d2.mean()
+    if np.ptp(column) == 0.0:
+        return np.sqrt(m2), np.nan, np.nan
     dev *= d2
     d2 *= d2
-    return (np.mean(dev, axis=0) / m2**1.5,
-            np.mean(d2, axis=0) / m2**2 - 3.0)
+    return np.sqrt(m2), dev.mean() / m2**1.5, d2.mean() / m2**2 - 3.0
 
 
 def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
@@ -228,18 +230,27 @@ def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
         raise ValueError("asset name count does not match columns")
     levels = np.array(QUANTILE_LEVELS)
     lags = np.array(SQ_AUTOCORR_LAGS)
-    skewness, excess_kurtosis = _shape_moments(matrix)
+    correlation = _safe_correlation(matrix)
+    mean = matrix.mean(axis=0)
+    moments = np.empty((3, n_assets))
+    quantiles = np.empty((levels.shape[0], n_assets))
+    sq_autocorr = np.empty((lags.shape[0], n_assets))
+    # one column at a time: its temporaries are rows long, not rows x assets
+    for j in range(n_assets):
+        column = matrix[:, j].copy()
+        moments[:, j] = _column_moments(column, mean[j])
+        quantiles[:, j] = np.quantile(column, levels)
+        column *= column
+        sq_autocorr[:, j] = _autocorrelation(column, lags)
     return SummaryStats(
         asset_names=list(asset_names),
-        mean=matrix.mean(axis=0),
-        std=matrix.std(axis=0),
-        skewness=skewness,
-        excess_kurtosis=excess_kurtosis,
+        mean=mean,
+        std=moments[0],
+        skewness=moments[1],
+        excess_kurtosis=moments[2],
         quantile_levels=levels,
-        quantiles=np.quantile(matrix, levels, axis=0),
-        correlation=_safe_correlation(matrix),
+        quantiles=quantiles,
+        correlation=correlation,
         sq_autocorr_lags=lags,
-        # one squared column at a time: no (rows, assets) temporary
-        sq_autocorr=np.column_stack([_autocorrelation(matrix[:, j] ** 2, lags)
-                                     for j in range(n_assets)]),
+        sq_autocorr=sq_autocorr,
     )

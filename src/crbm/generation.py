@@ -6,6 +6,8 @@ resulting dynamic biases, emit the final visible state, then slide the
 window.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .data import EncodedSeries, decode_series

@@ -18,6 +18,8 @@ Conventions:
   * sampling is a pure function of (inputs, generator state).
 """
 
+from __future__ import annotations
+
 import math
 
 import numpy as np

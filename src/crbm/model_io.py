@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinaryCodec, ZScoreParams
-from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams
 
 MAGIC = b"CRBM"
 FORMAT_VERSION = 1
@@ -96,15 +96,23 @@ def save_model(mf: ModelFile, path) -> None:
         fh.write(b"".join(parts))
 
 
-def _read_exact(fh, n: int) -> bytes:
-    """Read n bytes, refusing sizes beyond the end of the file before reading.
+def _refuse_beyond_end(fh, sizes) -> None:
+    """Refuse consecutive reads of ``sizes`` bytes that would pass the end
+    of the file, before anything is read or allocated.
 
     Sizes come from the file itself, so this keeps a forged header from
     asking for an allocation the file cannot back.
     """
     remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > remaining:
-        raise ValueError(f"truncated model file: {n} bytes declared, {remaining} left")
+    for n in sizes:
+        if n > remaining:
+            raise ValueError(f"truncated model file: {n} bytes declared, {remaining} left")
+        remaining -= n
+
+
+def _read_exact(fh, n: int) -> bytes:
+    """Read n bytes, refusing sizes beyond the end of the file before reading."""
+    _refuse_beyond_end(fh, [n])
     data = fh.read(n)
     if len(data) != n:
         raise ValueError("truncated model file")
@@ -125,6 +133,15 @@ def _read_array(fh, shape) -> np.ndarray:
 def _read_copy(fh, count: int) -> np.ndarray:
     """A writable native float64 copy of the next count values."""
     return _read_array(fh, count).astype(np.float64)
+
+
+def _read_into(fh, dest: np.ndarray) -> None:
+    """Fill the rows of the 2-D float64 view ``dest`` with the next values,
+    READ_AHEAD_BYTES of rows at a time: no copy of the whole array exists."""
+    step = max(1, READ_AHEAD_BYTES // (8 * max(1, dest.shape[1])))
+    for start in range(0, dest.shape[0], step):
+        block = dest[start:start + step]
+        block[...] = _read_array(fh, block.shape)
 
 
 def _read_str(fh, width: str) -> str:
@@ -159,18 +176,25 @@ def load_model(path) -> ModelFile:
                                  sigma=_read_copy(fh, n_assets))
         else:
             raise ValueError(f"{path}: unknown codec code {codec_code}")
-        a = _read_array(fh, n_visible)
-        b = _read_array(fh, n_hidden)
-        if np.any(_read_array(fh, n_visible) != 1.0):
+        nv, nh, window = n_visible, n_hidden, lag * n_visible
+        # a, b, the reserved slot, W, A and B, in file order
+        _refuse_beyond_end(fh, [8 * n for n in (nv, nh, nv, nv * nh, window * nv, window * nh)])
+        # zero-stride zeros give the model its shapes, and the file's values
+        # then go straight into its buffer: each parameter is held once
+        W, a, b, A, B = (np.broadcast_to(0.0, shape) for shape in
+                         ((nv, nh), (nv,), (nh,), (window, nv), (window, nh)))
+        params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
+        _read_into(fh, params.C[:1])  # a | b
+        if np.any(_read_array(fh, nv) != 1.0):
             raise ValueError(f"{path}: reserved sigma slot must hold ones")
-        W = _read_array(fh, (n_visible, n_hidden))
-        A = _read_array(fh, (lag * n_visible, n_visible))
-        B = _read_array(fh, (lag * n_visible, n_hidden))
-        seed_window = _read_copy(fh, lag * n_visible)
+        for dest in (params.W, params.A, params.B):
+            _read_into(fh, dest)
+        name = params.non_finite()
+        if name is not None:
+            raise ValueError(f"{path}: non-finite entries in {name}")
+        seed_window = _read_copy(fh, window)
         config_text = _read_str(fh, "I")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after model payload")
-    # the parameter views of the file bytes are copied once, into the buffer
-    params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
     return ModelFile(params=params, codec=codec, asset_names=asset_names,
                      seed=seed, seed_window=seed_window, config_text=config_text)

@@ -12,6 +12,8 @@ so the learning rate does not depend on batch size. Updates use classical
 momentum with L2 decay on the interaction weights only.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, fields
 
 import numpy as np

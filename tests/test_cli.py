@@ -207,6 +207,24 @@ class TestStartup:
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
+    @pytest.mark.parametrize("command, samples", [
+        ((), False),
+        (("energy", "--model", "{model}", "--input", FIXTURE, "--output-dir", "{out}"), False),
+        (("stats", "--real", FIXTURE, "--synthetic", FIXTURE, "--output-dir", "{out}"), False),
+        (("generate", "--model", "{model}", "--steps", "5", "--seed", "1",
+          "--output-dir", "{out}"), True),
+    ])
+    def test_only_sampling_commands_load_numpy_random(self, trained, tmp_path, command,
+                                                      samples):
+        # numpy.random brings secrets, hmac and OpenSSL: about 6 MiB of RSS
+        argv = [str(a).format(model=trained / "model.crbm", out=tmp_path / "o")
+                for a in command]
+        proc = python("-c", "import sys, crbm.cli; "
+                            "code = crbm.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                            "print(code, 'numpy.random' in sys.modules)", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {samples}"
+
     def test_importing_main_module_runs_nothing(self, monkeypatch):
         # `python -m crbm --help` itself is run by test_help_loads_no_scipy
         monkeypatch.setattr(sys, "argv", ["crbm", "--no-such-flag"])

@@ -1,7 +1,7 @@
 """CSV ingestion, splitting, and the two encodings against naive oracles."""
 
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -70,6 +70,34 @@ class TestIngest:
         path.write_text("date,A\n2020-01-01,1.0\n2020-01-01,2.0\n")
         with pytest.raises(ValueError, match="duplicate date"):
             ingest_csv(path)
+
+    def test_duplicate_dates_out_of_order_error(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("date,A\n2020-01-03,1.0\n2020-01-01,2.0\n2020-01-03,3.0\n")
+        with pytest.raises(ValueError, match="duplicate date 2020-01-03"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_ascending_dates_keep_the_parsed_matrix(self, tmp_path, monkeypatch, ascending):
+        # only input out of date order is reordered, which copies the matrix
+        values = np.random.default_rng(6).normal(size=(300, 3))
+        path = tmp_path / "in.csv"
+        write_dated_csv(path, values)
+        if not ascending:
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        parsed, read_rows = [], data._read_rows
+
+        def spy(*args):
+            result = read_rows(*args)
+            parsed.append(result[1])
+            return result
+
+        monkeypatch.setattr(data, "_read_rows", spy)
+        s = ingest_csv(path)
+        assert (s.values is parsed[0]) == ascending
+        assert s.values.tobytes() == values.tobytes()
+        assert s.dates == sorted(s.dates)
 
     def test_no_parseable_rows_error(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -231,6 +259,23 @@ class TestZScore:
                                    atol=1e-12)
         np.testing.assert_allclose(decode_series(enc), toy_series.values,
                                    atol=1e-12)
+
+    def test_standardize_is_one_array_with_the_same_bits(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_t(4, size=(20_000, 8)) * rng.uniform(0.1, 9.0, 8)
+        series = RawSeries([date(2000, 1, 1) + timedelta(days=t) for t in range(20_000)],
+                           values, [f"A{j}" for j in range(8)])
+        params = fit_zscore(series)
+        tracemalloc.start()
+        try:
+            enc = standardize(series, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enc.matrix.tobytes() == ((values - params.mu) / params.sigma).tobytes()
+        # the matrix, its date list and the finiteness mask; a second
+        # (rows, assets) temporary would add another 1.0
+        assert peak < 1.5 * values.nbytes
 
     def test_destandardize_mode_guard(self):
         enc = EncodedSeries(np.zeros((1, 2)), ARCH_BERNOULLI,

@@ -206,15 +206,32 @@ class TestSummaryStats:
         assert summary_stats(x).sq_autocorr.tobytes() == want.tobytes()
 
     def test_peak_memory_holds_no_squared_matrix(self):
-        # squaring all 50,000 x 8 values at once peaked at 3.0 x the input
+        # squaring all 50,000 x 8 values at once peaked at 3.0 x the input,
+        # whole-matrix moments and quantiles at 2.0 x; what is left is the
+        # centered copy inside np.corrcoef
         x = np.random.default_rng(25).standard_t(4, size=(50_000, 8))
+        summary_stats(x[:10])  # np.quantile imports numpy.ma on its first call
         tracemalloc.start()
         try:
             summary_stats(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * x.nbytes
+        assert peak < 1.3 * x.nbytes
+
+    def test_column_reductions_match_whole_matrix_ones(self):
+        x = np.random.default_rng(26).standard_t(4, size=(5_000, 3)) * [1.0, 30.0, 0.01]
+        s = summary_stats(x)
+        # the mean and the quantiles keep the bits of the axis-0 reductions
+        assert s.mean.tobytes() == x.mean(axis=0).tobytes()
+        assert s.quantiles.tobytes() == np.quantile(x, QUANTILE_LEVELS, axis=0).tobytes()
+        # the std and the shape moments only sum in another order
+        dev = x - x.mean(axis=0)
+        m2 = np.mean(dev**2, axis=0)
+        np.testing.assert_allclose(s.std, x.std(axis=0), rtol=1e-13)
+        np.testing.assert_allclose(s.skewness, np.mean(dev**3, axis=0) / m2**1.5, rtol=1e-11)
+        np.testing.assert_allclose(s.excess_kurtosis, np.mean(dev**4, axis=0) / m2**2 - 3.0,
+                                   rtol=1e-11)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two rows"):

@@ -1,6 +1,7 @@
 """Binary model container: roundtrip fidelity and format guards."""
 
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,29 @@ class TestRoundtrip:
             assert arr.flags.writeable and arr.dtype == np.float64
 
 
+def test_load_holds_each_parameter_once(tmp_path):
+    # the parameters are read into the model's buffer a block at a time;
+    # the file's bytes of A or B held whole would add 0.4 x the buffer, and
+    # of every parameter, beside the buffer, 1.0 x (2.13 x in all)
+    rng = np.random.default_rng(213)
+    nv, nh, lag = 400, 400, 2
+    m = random_gaussian_model(rng, nv, nh, lag=lag)
+    m.A = rng.normal(size=(lag * nv, nv))
+    m.B = rng.normal(size=(lag * nv, nh))
+    path = tmp_path / "big.crbm"
+    save_model(ModelFile(params=m, codec=ZScoreParams(np.zeros(nv), np.ones(nv)),
+                         asset_names=[f"x{i}" for i in range(nv)], seed=1,
+                         seed_window=np.zeros(lag * nv)), path)
+    tracemalloc.start()
+    try:
+        back = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.params.buffer.tobytes() == m.buffer.tobytes()
+    assert peak < 1.3 * m.buffer.nbytes
+
+
 class TestFormatGuards:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.crbm"
@@ -137,6 +161,19 @@ class TestFormatGuards:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_non_finite_parameter_is_named(self, tmp_path):
+        mf = gaussian_file(np.random.default_rng(212))
+        path = tmp_path / "m.crbm"
+        save_model(mf, path)
+        blob = bytearray(path.read_bytes())
+        nv = mf.params.n_visible
+        # W starts right after the reserved slot's n_visible doubles
+        offset = reserved_slot_offset(mf) + 8 * nv
+        blob[offset:offset + 8] = struct.pack("<d", np.inf)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite entries in W"):
+            load_model(path)
 
     @pytest.mark.parametrize("make", [gaussian_file, bernoulli_file])
     def test_reserved_slot_holds_ones(self, tmp_path, make):
