@@ -57,11 +57,6 @@ def _write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
-def _prepare_output_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _encode_with(series: data.RawSeries, codec) -> data.EncodedSeries:
     if isinstance(codec, data.BinaryCodec):
         return data.binarize(series, codec)
@@ -91,15 +86,15 @@ def cmd_train(args) -> int:
     encoded = _encode_with(train_split, codec)
     report = training.train(encoded, cfg)
 
-    out_dir = _prepare_output_dir(args.output_dir)
+    os.makedirs(args.output_dir, exist_ok=True)
     seed_window = encoded.matrix[encoded.n_rows - cfg.lag:].ravel() if cfg.lag \
         else np.empty(0)
     mf = model_io.ModelFile(params=report.params, codec=codec,
                             asset_names=train_split.asset_names, seed=cfg.seed,
                             seed_window=seed_window, config_text=cfg.to_text())
-    model_path = os.path.join(out_dir, MODEL_FILENAME)
+    model_path = os.path.join(args.output_dir, MODEL_FILENAME)
     model_io.save_model(mf, model_path)
-    report_path = os.path.join(out_dir, REPORT_FILENAME)
+    report_path = os.path.join(args.output_dir, REPORT_FILENAME)
     _write_csv(report_path,
                ["epoch", "recon_mse", "free_energy_train", "free_energy_holdout"],
                [np.arange(cfg.epochs), report.recon_mse, report.free_energy_train,
@@ -116,8 +111,8 @@ def cmd_generate(args) -> int:
     encoded = generation.generate(mf.params, mf.seed_window, args.steps, rng,
                                   burn_in=args.burn_in, codec=mf.codec)
     values = generation.decode_series(encoded)
-    out_dir = _prepare_output_dir(args.output_dir)
-    out_path = os.path.join(out_dir, SYNTHETIC_FILENAME)
+    os.makedirs(args.output_dir, exist_ok=True)
+    out_path = os.path.join(args.output_dir, SYNTHETIC_FILENAME)
     _write_csv(out_path, ["step"] + list(mf.asset_names),
                [np.arange(values.shape[0]), *values.T])
     print(f"wrote {values.shape[0]} synthetic rows to {out_path}")
@@ -152,14 +147,14 @@ def cmd_energy(args) -> int:
     flags = diagnostics.regime_flags(fe.total, window=args.flag_window,
                                      threshold=args.flag_threshold)
 
-    out_dir = _prepare_output_dir(args.output_dir)
-    energy_path = os.path.join(out_dir, ENERGY_FILENAME)
+    os.makedirs(args.output_dir, exist_ok=True)
+    energy_path = os.path.join(args.output_dir, ENERGY_FILENAME)
     header = ["date", "total", "quadratic", "structural", "flag"]
     columns = [fe.labels, fe.total, fe.quadratic, fe.structural, flags.astype(np.int8)]
     _write_csv(energy_path, header, columns)
     written = [energy_path]
     if overlay is not None:
-        overlay_path = os.path.join(out_dir, OVERLAY_FILENAME)
+        overlay_path = os.path.join(args.output_dir, OVERLAY_FILENAME)
         _write_csv(overlay_path, header + [args.overlay_column],
                    columns + [overlay[mf.params.lag:]])
         written.append(overlay_path)
@@ -186,19 +181,19 @@ def cmd_stats(args) -> int:
         raise ValueError(f"asset columns differ: real has {real.asset_names}, "
                          f"synthetic has {synth.asset_names}")
     names = real.asset_names
-    out_dir = _prepare_output_dir(args.output_dir)
+    os.makedirs(args.output_dir, exist_ok=True)
 
     for j, name in enumerate(names):
         qq = diagnostics.qq_table(real.values[:, j], synth.values[:, j],
                                   n_quantiles=args.qq_quantiles)
-        _write_csv(os.path.join(out_dir, f"qq_{_safe_filename(name)}.csv"),
+        _write_csv(os.path.join(args.output_dir, f"qq_{_safe_filename(name)}.csv"),
                    ["level", "real", "synthetic"],
                    [qq.levels, qq.real, qq.synthetic])
 
     fidelity = diagnostics.correlation_fidelity(real.values, synth.values)
-    _write_corr_csv(os.path.join(out_dir, "corr_real.csv"), names, fidelity.real)
-    _write_corr_csv(os.path.join(out_dir, "corr_synth.csv"), names, fidelity.synthetic)
-    _write_corr_csv(os.path.join(out_dir, "corr_diff.csv"), names, fidelity.difference)
+    _write_corr_csv(os.path.join(args.output_dir, "corr_real.csv"), names, fidelity.real)
+    _write_corr_csv(os.path.join(args.output_dir, "corr_synth.csv"), names, fidelity.synthetic)
+    _write_corr_csv(os.path.join(args.output_dir, "corr_diff.csv"), names, fidelity.difference)
 
     series = ["real", "synthetic"]
     stats = [diagnostics.summary_stats(real.values, names),
@@ -207,20 +202,20 @@ def cmd_stats(args) -> int:
     moments = [np.concatenate([getattr(s, field) for s in stats])
                for field in ("mean", "std", "skewness", "excess_kurtosis")]
     q_names = [f"q{level:g}" for level in diagnostics.QUANTILE_LEVELS]
-    _write_csv(os.path.join(out_dir, "summary.csv"),
+    _write_csv(os.path.join(args.output_dir, "summary.csv"),
                ["series", "asset", "mean", "std", "skewness", "excess_kurtosis", *q_names],
                [[label for label in series for _ in names], names * len(series), *moments,
                 *np.hstack([s.quantiles for s in stats])])
     # one row per series, asset and lag, in that order
     lags = stats[0].sq_autocorr_lags
-    _write_csv(os.path.join(out_dir, "sq_autocorr.csv"),
+    _write_csv(os.path.join(args.output_dir, "sq_autocorr.csv"),
                ["series", "asset", "lag", "autocorr"],
                [[label for label in series for _ in names for _ in lags],
                 [name for _ in series for name in names for _ in lags],
                 np.tile(lags, len(series) * len(names)),
                 np.concatenate([s.sq_autocorr.T.ravel() for s in stats])])
     print(f"correlation fidelity score: {fidelity.score!r}")
-    print(f"wrote fidelity CSVs to {out_dir}")
+    print(f"wrote fidelity CSVs to {args.output_dir}")
     return 0
 
 

@@ -58,8 +58,6 @@ def free_energy_series(encoded: EncodedSeries, m: ModelParams,
     """
     windows, targets = build_windows(encoded, m.lag)
     quadratic, structural = conditional_free_energy_terms(targets, windows, m)
-    quadratic = np.atleast_1d(quadratic)
-    structural = np.atleast_1d(structural)
     if labels is None:
         if encoded.dates is not None:
             labels = list(encoded.dates)

@@ -17,22 +17,18 @@ from .model import ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams, _visible_term, 
     softplus
 
 
-def build_windows(encoded, lag: int,
-                  context: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_windows(encoded, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair each target row with its flattened history window.
 
     ``encoded`` may be an EncodedSeries or a plain T x D' matrix. Returns
     ``(windows, targets)`` with shapes (P, lag * D') and (P, D') where
     P = T - lag: row t of the input becomes a target once rows
     t - lag .. t - 1 exist to form its window. With lag = 0 every row is a
-    target and windows are empty. ``context`` may supply exactly ``lag``
-    extra rows prepended as history (e.g. the tail of a contiguous training
-    split) so that no leading targets are dropped.
+    target and windows are empty.
 
-    Both are read-only views of the series (of one stacked copy when
-    ``context`` is given; of a C-ordered copy when the input is not
-    C-contiguous float64): window p is the series' bytes from row p to
-    row p + lag, so rows overlap and nothing grows with rows x lag.
+    Both are read-only views of the series (of a C-ordered copy when the
+    input is not C-contiguous float64): window p is the series' bytes from
+    row p to row p + lag, so rows overlap and nothing grows with rows x lag.
     Writing into either raises ValueError.
 
     Raises ValueError when fewer than lag + 1 rows are available.
@@ -40,13 +36,7 @@ def build_windows(encoded, lag: int,
     matrix = encoded.matrix if isinstance(encoded, EncodedSeries) else np.asarray(encoded, dtype=np.float64)
     if lag < 0:
         raise ValueError("lag must be >= 0")
-    if context is not None:
-        context = np.asarray(context, dtype=np.float64)
-        if context.shape != (lag, matrix.shape[1]):
-            raise ValueError(f"context must be exactly {lag} rows of width {matrix.shape[1]}")
-        full = np.vstack([context, matrix])
-    else:
-        full = np.ascontiguousarray(matrix)
+    full = np.ascontiguousarray(matrix)
     n_rows, width = full.shape
     n_pairs = n_rows - lag
     if n_pairs < 1:

@@ -43,23 +43,23 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
 
     sweeps, width = burn_in + 1, sweep_width(m)
     chunk = max(1, READ_AHEAD_BYTES // (8 * sweeps * width))
-    # With no window to restart from, the chain persists across emissions.
-    v = np.zeros(m.n_visible)
-    out = np.empty((steps, m.n_visible))
+    # The emitted rows follow the seed window's rows, so each window is a view
+    # and each chain starts at the row before; with lag 0 a zero row starts
+    # the first chain, and the chain then persists across emissions.
+    first = max(m.lag, 1)
+    history = np.zeros((first + steps, m.n_visible))
+    history[first - m.lag:first] = window.reshape(m.lag, m.n_visible)
+    out = history[first:]
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         lu_h, e_v = sweep_variates(rng.random((stop - start, sweeps, width)), m)
         # a runaway Gaussian rollout overflows; it is reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(start, stop):
+            for i, t in enumerate(range(first + start, first + stop)):
+                window = history[t - m.lag:t].ravel()
                 abias = dynamic_visible_bias(window, m)
                 bbias = dynamic_hidden_bias(window, m)
-                if m.lag:
-                    v = window[-m.n_visible:]
-                v, _h = gibbs_kernel(v, m, abias, bbias, lu_h[t - start], e_v[t - start])
-                out[t] = v
-                if m.lag:
-                    window = np.concatenate([window[m.n_visible:], v])
+                history[t], _h = gibbs_kernel(history[t - 1], m, abias, bbias, lu_h[i], e_v[i])
         finite = np.isfinite(out[start:stop]).all(axis=1)
         if not finite.all():
             raise ValueError(f"rollout went non-finite at step "

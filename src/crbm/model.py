@@ -85,42 +85,58 @@ def softplus(x: np.ndarray, out: np.ndarray | None = None,
 
 
 PARAM_NAMES = ("W", "a", "b", "A", "B")
-_VIEWS = PARAM_NAMES + ("C",)
+_VIEWS = PARAM_NAMES + ("C", "buffer")
 
 
-class Tensors:
-    """W, a, b, A and B as views of one float64 buffer, so that an update or
-    a check is one array operation.
+class ModelParams:
+    """Full CRBM parameterization: W, a, b, A and B as views of one float64
+    buffer, so that an update or a check is one array operation.
 
     ``buffer`` holds W, then C = [[a | b]; [A | B]], both row-major: the row
     [1 | window] times C is that window's visible and hidden biases side by
-    side. Assigning an array to one of these seven names copies it into the
-    buffer, and a deep copy or an unpickled object has views of its own.
+    side. ``A`` and ``B`` map the flattened history window (lag * n_visible
+    entries, oldest observation first) to visible and hidden bias shifts.
+    With lag = 0 both are empty and the model is a static RBM. Gaussian
+    visible units have unit variance, because inputs are z-scored.
+
+    Assigning an array to one of the seven names copies it into the buffer,
+    shape-checked. ``like(buffer)`` gives the same views over another buffer,
+    which is how a gradient or a momentum shares the layout; pickle and deep
+    copies rebuild through the constructor and its checks.
     """
 
-    def __init__(self, W, a, b, A, B):
+    def __init__(self, W, a, b, arch: str, A=None, B=None, lag: int = 0):
+        if arch not in (ARCH_BERNOULLI, ARCH_GAUSSIAN):
+            raise ValueError(f"unknown architecture {arch!r}")
         nv, nh = np.shape(W)
-        self._bind(np.empty(nv * nh + (1 + len(A)) * (nv + nh)), (nv, nh))
+        if np.shape(a) != (nv,) or np.shape(b) != (nh,):
+            raise ValueError("bias shapes inconsistent with W")
+        if lag < 0:
+            raise ValueError("lag must be >= 0")
+        A = np.zeros((lag * nv, nv)) if A is None else A
+        B = np.zeros((lag * nv, nh)) if B is None else B
+        if np.shape(A) != (lag * nv, nv) or np.shape(B) != (lag * nv, nh):
+            raise ValueError("autoregressive matrix shapes inconsistent with lag")
+        self.__dict__.update(_views(np.empty(nv * nh + (1 + lag * nv) * (nv + nh)), nv, nh),
+                             arch=arch, lag=lag)
         for name, value in zip(PARAM_NAMES, (W, a, b, A, B)):
             setattr(self, name, value)
+        name = self.non_finite()
+        if name is not None:
+            raise ValueError(f"non-finite entries in {name}")
 
-    def _bind(self, buffer: np.ndarray, shape: tuple[int, int]) -> None:
-        nv, nh = shape
-        C = buffer[nv * nh:].reshape(-1, nv + nh)
-        self.__dict__.update(buffer=buffer, W=buffer[:nv * nh].reshape(nv, nh), C=C,
-                             a=C[0, :nv], b=C[0, nv:], A=C[1:, :nv], B=C[1:, nv:])
+    def like(self, buffer: np.ndarray) -> "ModelParams":
+        """These views over ``buffer``, a float64 array of the buffer's size;
+        nothing is checked or copied."""
+        new = object.__new__(ModelParams)
+        new.__dict__.update(self.__dict__, **_views(buffer, *self.W.shape))
+        return new
 
-    def __getstate__(self):
-        state = {k: v for k, v in self.__dict__.items() if k not in _VIEWS}
-        return state | {"W_shape": self.W.shape}
-
-    def __setstate__(self, state):
-        state = dict(state)
-        self._bind(state.pop("buffer"), state.pop("W_shape"))
-        self.__dict__.update(state)
+    def __reduce__(self):
+        return ModelParams, (self.W, self.a, self.b, self.arch, self.A, self.B, self.lag)
 
     def __setattr__(self, name, value):
-        view = self.__dict__.get(name) if name in _VIEWS + ("buffer",) else None
+        view = self.__dict__.get(name) if name in _VIEWS else None
         if view is None:
             object.__setattr__(self, name, value)
         elif value is not view:
@@ -137,46 +153,24 @@ class Tensors:
     def n_hidden(self) -> int:
         return self.W.shape[1]
 
+    @property
+    def window_size(self) -> int:
+        return self.lag * self.n_visible
+
     def non_finite(self) -> str | None:
         """Name of the first of W, a, b, A, B with a non-finite entry, or None."""
         if np.isfinite(self.buffer).all():
             return None
         return next(name for name in PARAM_NAMES if not np.isfinite(getattr(self, name)).all())
 
-
-class ModelParams(Tensors):
-    """Full CRBM parameterization.
-
-    ``A`` and ``B`` map the flattened history window (lag * n_visible
-    entries, oldest observation first) to visible and hidden bias shifts.
-    With lag = 0 both are empty and the model is a static RBM. Gaussian
-    visible units have unit variance, because inputs are z-scored.
-    """
-
-    def __init__(self, W, a, b, arch: str, A=None, B=None, lag: int = 0):
-        if arch not in (ARCH_BERNOULLI, ARCH_GAUSSIAN):
-            raise ValueError(f"unknown architecture {arch!r}")
-        nv, nh = np.shape(W)
-        if np.shape(a) != (nv,) or np.shape(b) != (nh,):
-            raise ValueError("bias shapes inconsistent with W")
-        if lag < 0:
-            raise ValueError("lag must be >= 0")
-        A = np.zeros((lag * nv, nv)) if A is None else A
-        B = np.zeros((lag * nv, nh)) if B is None else B
-        if np.shape(A) != (lag * nv, nv) or np.shape(B) != (lag * nv, nh):
-            raise ValueError("autoregressive matrix shapes inconsistent with lag")
-        self.arch, self.lag = arch, lag
-        super().__init__(W, a, b, A, B)
-        name = self.non_finite()
-        if name is not None:
-            raise ValueError(f"non-finite entries in {name}")
-
-    @property
-    def window_size(self) -> int:
-        return self.lag * self.n_visible
-
     def copy(self) -> "ModelParams":
-        return ModelParams(self.W, self.a, self.b, self.arch, self.A, self.B, self.lag)
+        return ModelParams(*self.__reduce__()[1])
+
+
+def _views(buffer: np.ndarray, nv: int, nh: int) -> dict:
+    C = buffer[nv * nh:].reshape(-1, nv + nh)
+    return dict(buffer=buffer, W=buffer[:nv * nh].reshape(nv, nh), C=C,
+                a=C[0, :nv], b=C[0, nv:], A=C[1:, :nv], B=C[1:, nv:])
 
 
 def _default_biases(m: ModelParams, abias, bbias):

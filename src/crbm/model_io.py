@@ -30,7 +30,7 @@ _CODEC_ZSCORE = 1
 
 @dataclass
 class ModelFile:
-    """A trained model and the context needed to use it on raw values."""
+    """A trained model and what it needs to be used on raw values."""
 
     params: ModelParams
     codec: BinaryCodec | ZScoreParams

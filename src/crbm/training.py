@@ -20,8 +20,8 @@ import numpy as np
 
 from .data import EncodedSeries
 from .dynamics import build_windows, score_rows
-from .model import (ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, Tensors,
-                    run_chains, sigmoid)
+from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, run_chains, \
+    sigmoid
 
 DEFAULT_LEARNING_RATE = {ARCH_GAUSSIAN: 1e-3, ARCH_BERNOULLI: 1e-2}
 
@@ -109,7 +109,7 @@ class TrainConfig:
             val = val.strip().strip("'\"")
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _parse_config_value(key, val)
+            values[key] = _parse_config_value(known[key], val)
         values.update(overrides)
         if "seed" not in values:
             raise ValueError("config must provide a seed")
@@ -121,14 +121,12 @@ class TrainConfig:
             return cls.from_text(fh.read(), **overrides)
 
 
-_INT_KEYS = {"seed", "epochs", "batch_size", "n_chains", "gibbs_k", "lag", "n_hidden"}
-_OPTIONAL_KEYS = {"learning_rate", "sparsity_target"}
-
-
-def _parse_config_value(key: str, val: str):
-    if key in _OPTIONAL_KEYS and val.lower() in ("none", ""):
+def _parse_config_value(field, val: str):
+    """``val`` as the kind the field's annotation names: "int", "float" or
+    "float | None" (annotations are strings in this module)."""
+    if field.type.endswith("| None") and val.lower() in ("none", ""):
         return None
-    return int(val) if key in _INT_KEYS else float(val)
+    return int(val) if field.type == "int" else float(val)
 
 
 @dataclass
@@ -144,29 +142,6 @@ class TrainReport:
     free_energy_train: np.ndarray
     free_energy_holdout: np.ndarray
     params: ModelParams
-
-
-class _Step(Tensors):
-    """A direction in the parameters' buffer layout."""
-
-    @classmethod
-    def zeros_like(cls, m: ModelParams):
-        new = cls.__new__(cls)
-        new._bind(np.zeros(m.buffer.shape), m.W.shape)
-        return new
-
-
-class GradientBundle(_Step):
-    """Log-likelihood ascent directions (data minus model statistics), with
-    the data-phase mean activation of each hidden unit for the sparsity term."""
-
-    def __init__(self, W, a, b, A, B, mean_hidden):
-        super().__init__(W, a, b, A, B)
-        self.mean_hidden = mean_hidden
-
-
-class Velocity(_Step):
-    """Momentum of each parameter."""
 
 
 @dataclass
@@ -226,6 +201,9 @@ def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
     window | v]: X[:, :1 + window] C gives all their biases, and with the
     statistics T = [visible statistic | P(h | v)] weighted +1/n_data and
     -1/n_chains, the gradients are X[:, :1 + window]' T for C and v' P for W.
+    They land in ``m.like`` views of a new buffer. When a sparsity target is
+    set, the b gradient gains sparsity_cost * (target - data mean of
+    P(h | v)), as in Hinton's practical guide to training RBMs (2010, sec. 11).
     """
     w_batch, v_batch = batch
     w_batch = np.asarray(w_batch, dtype=np.float64)
@@ -260,31 +238,29 @@ def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,
         np.subtract(v, shifts[:, :nv], out=T[:, :nv])
     T[:n_data] *= 1.0 / n_data
     T[n_data:] *= -1.0 / n_chains
-    grads = GradientBundle.zeros_like(m)
-    grads.mean_hidden = T[:n_data, nv:].sum(axis=0)
+    grads = m.like(np.empty(m.buffer.shape))
     np.matmul(X[:, :1 + window].T, T, out=grads.C)
     np.matmul(v.T, T[:, nv:], out=grads.W)
+    if cfg.sparsity_target is not None:
+        grads.b += cfg.sparsity_cost * (cfg.sparsity_target - T[:n_data, nv:].sum(axis=0))
     name = grads.non_finite()
     if name is not None:
         raise TrainingDiverged(f"non-finite gradient of {name}")
     return grads, chains
 
 
-def apply_update(m: ModelParams, grads: GradientBundle, velocity: Velocity,
-                 cfg: TrainConfig) -> tuple[ModelParams, Velocity]:
+def apply_update(m: ModelParams, grads: ModelParams, velocity: ModelParams,
+                 cfg: TrainConfig) -> tuple[ModelParams, ModelParams]:
     """Momentum step: v <- mu v + lr (grad - decay W); params <- params + v.
 
-    Weight decay touches W only. When a sparsity target is set, the hidden
-    bias gradient gains sparsity_cost * (target - mean activation). Each
-    step is one pass over the buffer or the W or b view. Parameters and
-    velocity are updated in place and returned.
+    ``grads`` and ``velocity`` are ``m.like`` views. Weight decay touches W
+    only. Each step is one pass over the buffer or the W view. Parameters
+    and velocity are updated in place and returned.
     """
     lr = cfg.resolve_learning_rate(m.arch)
     velocity.buffer *= cfg.momentum
     velocity.buffer += lr * grads.buffer
     velocity.W -= (lr * cfg.weight_decay) * m.W
-    if cfg.sparsity_target is not None:
-        velocity.b += (lr * cfg.sparsity_cost) * (cfg.sparsity_target - grads.mean_hidden)
     m.buffer += velocity.buffer
     name = m.non_finite()
     if name is not None:
@@ -315,7 +291,7 @@ def train(encoded: EncodedSeries, cfg: TrainConfig) -> TrainReport:
     init_seq, chain_seq, shuffle_seq, assign_seq = seq.spawn(4)
     m = init_params(targets.shape[1], cfg.n_hidden, cfg.lag, encoded.arch, init_seq)
     chains = init_chains(windows[:n_train], targets[:n_train], cfg.n_chains, chain_seq)
-    velocity = Velocity.zeros_like(m)
+    velocity = m.like(np.zeros(m.buffer.shape))
     shuffle_rng = np.random.default_rng(shuffle_seq)
     assign_rng = np.random.default_rng(assign_seq)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,8 +412,7 @@ class TestWriteCsv:
         header = ["asset", 'a,"b"', "c\nd"]
         names, floats, ints = (list(col) for col in zip(*rows))
         out = tmp_path_factory.mktemp("w")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "READ_AHEAD_BYTES", block_bytes)
+        with mock.patch.object(cli, "READ_AHEAD_BYTES", block_bytes):
             cli._write_csv(out / "new.csv", header,
                            [names, np.array(floats), np.array(ints)])
         with open(out / "want.csv", "w", newline="", encoding="utf-8") as fh:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -442,8 +443,7 @@ class TestReaderMatchesOracle:
         path = tmp_path_factory.mktemp("csv") / "in.csv"
         path.write_bytes(text.encode("utf-8"))
         date_column = None if label_idx == 0 else "date"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "READ_AHEAD_BYTES", block_bytes)
+        with mock.patch.object(data, "READ_AHEAD_BYTES", block_bytes):
             series = outcome(ingest_csv, path, date_column=date_column)
             table = outcome(read_values_csv, path)
 

@@ -48,19 +48,10 @@ class TestBuildWindows:
         # successive windows start one series row apart
         assert windows.strides == targets.strides[:1] + (8,)
 
-    def test_context_views_share_one_stacked_copy(self):
-        context, matrix = np.zeros((3, 2)), np.ones((4, 2))
-        windows, targets = build_windows(matrix, lag=3, context=context)
-        assert np.shares_memory(windows, targets)
-        assert not np.shares_memory(targets, matrix)
-        assert not np.shares_memory(windows, context)
-
     @pytest.mark.parametrize("lag", [0, 2])
-    @pytest.mark.parametrize("with_context", [False, True])
-    def test_views_are_read_only(self, lag, with_context):
+    def test_views_are_read_only(self, lag):
         matrix = np.arange(15.0).reshape(5, 3)
-        context = np.zeros((lag, 3)) if with_context else None
-        windows, targets = build_windows(matrix, lag=lag, context=context)
+        windows, targets = build_windows(matrix, lag=lag)
         for view in (windows, targets):
             assert not view.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -96,23 +87,9 @@ class TestBuildWindows:
         np.testing.assert_array_equal(w_enc, w_raw)
         np.testing.assert_array_equal(t_enc, t_raw)
 
-    def test_context_keeps_every_row_a_target(self):
-        rng = np.random.default_rng(62)
-        context = rng.normal(size=(3, 2))
-        matrix = rng.normal(size=(4, 2))
-        windows, targets = build_windows(matrix, lag=3, context=context)
-        assert targets.shape == (4, 2)
-        np.testing.assert_array_equal(windows[0], context.ravel())
-        stacked = np.vstack([context, matrix])
-        np.testing.assert_array_equal(windows[2], naive_window(stacked, 5, 3))
-
     def test_short_series_error(self):
         with pytest.raises(ValueError):
             build_windows(np.zeros((3, 2)), lag=3)
-
-    def test_wrong_context_length_error(self):
-        with pytest.raises(ValueError, match="context"):
-            build_windows(np.zeros((4, 2)), lag=3, context=np.zeros((2, 2)))
 
 
 class TestDynamicBiases:

@@ -144,6 +144,30 @@ class TestModelParams:
             assert getattr(c, name).base is c.buffer
             np.testing.assert_array_equal(getattr(c, name), getattr(m, name) + 1.0)
 
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_clone_runs_the_constructor_checks(self, clone):
+        m = random_gaussian_model(np.random.default_rng(3), 3, 2, lag=2)
+        m.buffer[-1] = np.nan
+        with pytest.raises(ValueError, match="^non-finite entries in B$"):
+            clone(m)
+
+    def test_like_views_write_through_to_the_given_buffer(self):
+        m = random_gaussian_model(np.random.default_rng(4), 3, 2, lag=2)
+        before = m.buffer.copy()
+        buffer = np.zeros(m.buffer.shape)
+        g = m.like(buffer)
+        assert g.buffer is buffer and (g.arch, g.lag) == (m.arch, m.lag)
+        for k, name in enumerate(("W", "a", "b", "A", "B", "C"), start=1):
+            view = getattr(g, name)
+            assert view.shape == getattr(m, name).shape
+            assert np.shares_memory(view, buffer) and not np.shares_memory(view, m.buffer)
+            view[...] = k
+            np.testing.assert_array_equal(getattr(g, name), k)
+        np.testing.assert_array_equal(buffer[:6], 1.0)
+        np.testing.assert_array_equal(buffer[6:], 6.0)
+        np.testing.assert_array_equal(m.buffer, before)
+
 
 class TestEnergy:
     def test_matches_naive_bernoulli(self):
