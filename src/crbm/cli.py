@@ -87,11 +87,10 @@ def cmd_train(args) -> int:
     report = training.train(encoded, cfg)
 
     os.makedirs(args.output_dir, exist_ok=True)
-    seed_window = encoded.matrix[encoded.n_rows - cfg.lag:].ravel() if cfg.lag \
-        else np.empty(0)
     mf = model_io.ModelFile(params=report.params, codec=codec,
                             asset_names=train_split.asset_names, seed=cfg.seed,
-                            seed_window=seed_window, config_text=cfg.to_text())
+                            seed_window=encoded.matrix[encoded.n_rows - cfg.lag:],
+                            config_text=cfg.to_text())
     model_path = os.path.join(args.output_dir, MODEL_FILENAME)
     model_io.save_model(mf, model_path)
     report_path = os.path.join(args.output_dir, REPORT_FILENAME)
@@ -110,7 +109,7 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     encoded = generation.generate(mf.params, mf.seed_window, args.steps, rng,
                                   burn_in=args.burn_in, codec=mf.codec)
-    values = generation.decode_series(encoded)
+    values = data.decode_series(encoded)
     os.makedirs(args.output_dir, exist_ok=True)
     out_path = os.path.join(args.output_dir, SYNTHETIC_FILENAME)
     _write_csv(out_path, ["step"] + list(mf.asset_names),

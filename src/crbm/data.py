@@ -44,9 +44,8 @@ class RawSeries:
             raise ValueError("asset_names and values disagree on column count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if not prev < cur:
-                raise ValueError("dates must be strictly increasing")
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
+            raise ValueError("dates must be strictly increasing")
 
     @property
     def n_rows(self) -> int:

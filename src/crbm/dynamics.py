@@ -116,13 +116,10 @@ def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
         pre, work, x, w = pre_buf[:hi - lo], work_buf[:hi - lo], v[lo:hi], window_buf[:hi - lo]
         w[...] = window[lo:hi]
         abias = dynamic_visible_bias(w, m)
-        if m.B.size:
-            np.matmul(w, m.B, out=pre)
-            pre += m.b
-            pre += np.matmul(x, m.W, out=work)
-        else:
-            np.matmul(x, m.W, out=pre)
-            pre += m.b
+        # at lag 0 this is a product over an empty axis, which writes zeros
+        np.matmul(w, m.B, out=pre)
+        pre += m.b
+        pre += np.matmul(x, m.W, out=work)
         visible[lo:hi] = _visible_term(x, abias, m)
         if squared_error:
             wh = sigmoid(pre, out=work) @ m.W.T

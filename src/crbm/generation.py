@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import EncodedSeries, decode_series
+from .data import EncodedSeries
 from .dynamics import dynamic_hidden_bias, dynamic_visible_bias
 from .model import READ_AHEAD_BYTES, ModelParams, gibbs_kernel, sweep_variates, sweep_width
 
@@ -65,6 +65,3 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
             raise ValueError(f"rollout went non-finite at step "
                              f"{start + int(np.argmin(finite))} of {steps}")
     return EncodedSeries(matrix=out, arch=m.arch, codec=codec)
-
-
-__all__ = ["generate", "decode_series"]

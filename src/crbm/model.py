@@ -20,8 +20,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 ARCH_BERNOULLI = "bernoulli"
@@ -330,43 +328,25 @@ def gibbs_kernel(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.nda
     return v, h
 
 
-def gibbs_sweeps(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.ndarray,
-                 rng, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``steps`` block-Gibbs sweeps h ~ P(h|v), v' ~ P(v|h); return (v, h).
-
-    Draws the uniforms of all sweeps, then runs gibbs_kernel on their
-    sweep_variates. From a ChainStreams, row c reads chain c's stream sweep
-    after sweep. From one generator, each sweep takes the hidden uniforms of
-    all rows, then their visible ones, in one draw that leaves the generator
-    where per-sweep draws would.
-    """
-    width, nh = sweep_width(m), m.n_hidden
-    if isinstance(rng, ChainStreams):
-        u = rng.read(steps * width).reshape(len(rng), steps, width).swapaxes(0, 1)
-    else:
-        lead = v.shape[:-1]
-        rows = math.prod(lead)
-        u = rng.random((steps, rows * width))
-        u = np.concatenate([u[:, :rows * nh].reshape((steps, *lead, nh)),
-                            u[:, rows * nh:].reshape((steps, *lead, width - nh))], axis=-1)
-    return gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))
-
-
 def gibbs_step(v: np.ndarray, m: ModelParams,
                abias: np.ndarray | None = None,
                bbias: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One block-Gibbs transition: sample h ~ P(h|v), then v' ~ P(v|h).
 
-    Returns (v', h). The generator is consumed in a fixed order: n_hidden
-    uniforms per row for the hidden draw, then n_visible (Bernoulli) or
-    2 n_visible (Gaussian) uniforms per row for the visible draw.
+    Returns (v', h). Like every sampler here, each row reads sweep_width(m)
+    consecutive uniforms, its hidden ones first, then its visible ones, and
+    rows read one after another; so a batch call equals row-by-row calls on
+    the same generator and leaves it in the same state. Batch calls drew
+    other streams before this layout (all rows' hidden uniforms first);
+    single-row calls draw what they always drew.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:
         raise ValueError("state dimension inconsistent with model")
     abias, bbias = _default_biases(m, abias, bbias)
-    return gibbs_sweeps(v, m, abias, bbias, rng, 1)
+    u = rng.random((1, *v.shape[:-1], sweep_width(m)))
+    return gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))
 
 
 def run_chains(v: np.ndarray, m: ModelParams,
@@ -376,9 +356,9 @@ def run_chains(v: np.ndarray, m: ModelParams,
 
     ``rngs`` is a list of one generator per chain, from which each call
     draws exactly the uniforms it uses, or a ChainStreams that reads them
-    ahead. Either way chain c consumes only its own stream, in the same
-    per-step order as gibbs_step, so the draws of one chain never depend on
-    how many others run alongside it. Returns the final (v, h) batch.
+    ahead. Either way chain c reads only its own stream, sweep after sweep
+    in gibbs_step's layout, so the draws of one chain never depend on how
+    many others run alongside it. Returns the final (v, h) batch.
     """
     v = np.asarray(v, dtype=np.float64)
     if len(rngs) != v.shape[0]:
@@ -386,7 +366,9 @@ def run_chains(v: np.ndarray, m: ModelParams,
     abias, bbias = _default_biases(m, abias, bbias)
     if not isinstance(rngs, ChainStreams):
         rngs = ChainStreams(rngs, block_bytes=0)
-    return gibbs_sweeps(v, m, abias, bbias, rngs, steps)
+    width = sweep_width(m)
+    u = rngs.read(steps * width).reshape(len(rngs), steps, width).swapaxes(0, 1)
+    return gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))
 
 
 def enumerate_states(n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ momentum with L2 decay on the interaction weights only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -63,18 +64,22 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.learning_rate is not None and not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
         if self.gibbs_k < 1:
             raise ValueError("gibbs_k must be >= 1")
         if self.sparsity_target is not None and not 0.0 < self.sparsity_target < 1.0:
             raise ValueError("sparsity_target must lie in (0, 1)")
+        if not 0.0 <= self.sparsity_cost < math.inf:
+            raise ValueError("sparsity_cost must be finite and >= 0")
+        if self.sparsity_target is not None and self.sparsity_cost == 0:
+            raise ValueError("sparsity_target needs sparsity_cost > 0")
         if self.lag < 0:
             raise ValueError("lag must be >= 0")
         if self.n_hidden < 1:
@@ -158,12 +163,6 @@ class PersistentChains:
         return self.v.shape[0]
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """n generators on independent derived streams of one seed."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
 def init_params(n_visible: int, n_hidden: int, lag: int, arch: str, seed) -> ModelParams:
     """Small random interaction weights, zero biases, zero autoregression.
 
@@ -184,7 +183,8 @@ def init_chains(windows: np.ndarray, targets: np.ndarray, n_chains: int,
     picker = np.random.default_rng(pick_seq)
     idx = picker.integers(0, targets.shape[0], size=n_chains)
     return PersistentChains(v=targets[idx].copy(), windows=windows[idx].copy(),
-                            rngs=ChainStreams(spawn_rngs(streams_seq, n_chains)))
+                            rngs=ChainStreams(map(np.random.default_rng,
+                                                  streams_seq.spawn(n_chains))))
 
 
 def pcd_gradients(batch, chains: PersistentChains, m: ModelParams,

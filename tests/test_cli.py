@@ -90,6 +90,15 @@ class TestTrain:
         assert run(*train_args(out, config_path, ["--lag", "1"])) == 0
         assert load_model(out / "model.crbm").params.lag == 1
 
+    def test_infinite_learning_rate_is_a_one_line_config_error(self, tmp_path, config_path,
+                                                                capsys):
+        config_path.write_text(config_path.read_text() + "learning_rate=inf\n")
+        out = tmp_path / "out"
+        assert run(*train_args(out, config_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "learning_rate" in err[0]
+        assert not (out / "model.crbm").exists()
+
     @pytest.mark.parametrize("text", ["20200219", "2020-W08-3", "2020-050",
                                       "\uff12\uff10\uff12\uff10-02-19"])
     def test_split_date_other_than_year_month_day_is_usage_error(self, tmp_path, config_path,

@@ -20,7 +20,6 @@ from crbm.model import (
     free_energy_terms,
     gibbs_kernel,
     gibbs_step,
-    gibbs_sweeps,
     hidden_activation_probs,
     logsumexp,
     run_chains,
@@ -297,6 +296,23 @@ class TestGibbs:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_batch_step_reads_rows_one_after_another(self, make):
+        # each row reads its [hidden | visible] uniforms consecutively, so a
+        # batch step equals row-by-row steps on one generator and leaves it
+        # in the same state
+        rng = np.random.default_rng(44)
+        m = make(rng, 3, 4)
+        abias, bbias = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+        v0 = rng.normal(size=(5, 3))
+        batch_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
+        v, h = gibbs_step(v0, m, abias, bbias, rng=batch_rng)
+        for i in range(5):
+            v_i, h_i = gibbs_step(v0[i], m, abias[i], bbias[i], rng=row_rng)
+            np.testing.assert_array_equal(v[i], v_i)
+            np.testing.assert_array_equal(h[i], h_i)
+        assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+
     def test_run_chains_matches_sequential_gibbs(self):
         # one chain advanced by run_chains consumes its generator exactly
         # like repeated gibbs_step calls
@@ -404,7 +420,7 @@ class TestKernel:
     def test_hidden_frequencies_match_conditional(self, make):
         m = make(np.random.default_rng(46), 3, 4, scale=1.5)
         v = np.tile([1.0, 0.0, 1.0], (200_000, 1))
-        _, h = gibbs_sweeps(v, m, m.a, m.b, np.random.default_rng(47), 1)
+        _, h = gibbs_step(v, m, rng=np.random.default_rng(47))
         np.testing.assert_allclose(h.mean(axis=0), hidden_activation_probs(v[0], m),
                                    atol=5e-3)
 
@@ -421,7 +437,7 @@ class TestKernel:
         v = m.a + gen.standard_normal((20_000, 3))
         counts = np.zeros(8)
         for sweep in range(70):
-            v, h = gibbs_sweeps(v, m, m.a, m.b, gen, 1)
+            v, h = gibbs_step(v, m, rng=gen)
             if sweep >= 20:
                 counts += np.bincount(state_index(h), minlength=8)
         tv = 0.5 * float(np.abs(counts / counts.sum() - p_true).sum())

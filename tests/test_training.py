@@ -1,5 +1,7 @@
 """Configuration, gradient estimator structure, updates, and the training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,9 +62,15 @@ class TestTrainConfig:
         {"momentum": 1.0}, {"momentum": -0.1}, {"weight_decay": -1e-4},
         {"n_chains": 0}, {"gibbs_k": 0}, {"sparsity_target": 1.5},
         {"lag": -1}, {"n_hidden": 0}, {"holdout_fraction": 1.0},
+        {"learning_rate": math.inf}, {"learning_rate": math.nan},
+        {"weight_decay": math.inf}, {"weight_decay": math.nan},
+        {"sparsity_cost": -3.0}, {"sparsity_cost": math.inf}, {"sparsity_cost": math.nan},
+        # a target without a cost would train with no sparsity term
+        {"sparsity_target": 0.1},
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the refused key
+        with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(seed=1, **bad)
 
     def test_text_roundtrip(self):
