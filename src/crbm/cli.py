@@ -107,9 +107,13 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     mf = model_io.load_model(args.model)
     rng = np.random.default_rng(args.seed)
-    encoded = generation.generate(mf.params, mf.seed_window, args.steps, rng,
-                                  burn_in=args.burn_in, codec=mf.codec)
-    values = data.decode_series(encoded)
+    chunks = generation.rollout_chunks(mf.params, mf.seed_window, args.steps, rng,
+                                       burn_in=args.burn_in)
+    # only decoded values outlive a chunk; a runaway raises before any file
+    values = np.empty((args.steps, mf.n_assets))
+    for start, rows in chunks:
+        encoded = data.EncodedSeries(matrix=rows, arch=mf.params.arch, codec=mf.codec)
+        values[start:start + rows.shape[0]] = data.decode_series(encoded)
     os.makedirs(args.output_dir, exist_ok=True)
     out_path = os.path.join(args.output_dir, SYNTHETIC_FILENAME)
     _write_csv(out_path, ["step"] + list(mf.asset_names),
@@ -290,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,58 @@ from .dynamics import dynamic_hidden_bias, dynamic_visible_bias
 from .model import READ_AHEAD_BYTES, ModelParams, gibbs_kernel, sweep_variates, sweep_width
 
 
+def rollout_chunks(m: ModelParams, seed_window: np.ndarray, steps: int,
+                   rng: np.random.Generator, burn_in: int = 20):
+    """generate's rollout as an iterator of ``(start, rows)`` chunks.
+
+    ``rows`` holds emitted rows start, start + 1, ... in encoded units, and
+    the chunks cover all ``steps`` rows in order. The arguments are checked
+    when this is called, not at the first chunk. Each chunk's uniforms take
+    at most READ_AHEAD_BYTES, and the encoded rows live in a ring of
+    max(lag, 1) + chunk rows, so memory does not grow with ``steps``:
+    ``rows`` is a view of the ring that the next chunk overwrites, and a
+    caller that keeps it must copy it.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    window = np.asarray(seed_window, dtype=np.float64).ravel()
+    if window.shape[0] != m.window_size:
+        raise ValueError(
+            f"seed window has {window.shape[0]} values, model expects {m.window_size}")
+    sweeps, width = burn_in + 1, sweep_width(m)
+    chunk = min(steps, max(1, READ_AHEAD_BYTES // (8 * sweeps * width)))
+    # The ring's first rows hold the window before the chunk, so each window
+    # is a view and each chain starts at the row before; with lag 0 a zero
+    # row starts the first chain, and the chain then persists across chunks.
+    first = max(m.lag, 1)
+    ring = np.zeros((first + chunk, m.n_visible))
+    ring[first - m.lag:first] = window.reshape(m.lag, m.n_visible)
+
+    def chunks():
+        for start in range(0, steps, chunk):
+            n = min(chunk, steps - start)
+            lu_h, e_v = sweep_variates(rng.random((n, sweeps, width)), m)
+            # a runaway Gaussian rollout overflows; it is reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, t in enumerate(range(first, first + n)):
+                    window = ring[t - m.lag:t].ravel()
+                    abias = dynamic_visible_bias(window, m)
+                    bbias = dynamic_hidden_bias(window, m)
+                    ring[t], _h = gibbs_kernel(ring[t - 1], m, abias, bbias,
+                                               lu_h[i], e_v[i])
+            rows = ring[first:first + n]
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"rollout went non-finite at step "
+                                 f"{start + int(np.argmin(finite))} of {steps}")
+            yield start, rows
+            ring[:first] = ring[n:n + first]
+
+    return chunks()
+
+
 def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
              rng: np.random.Generator, burn_in: int = 20,
              codec=None) -> EncodedSeries:
@@ -32,36 +84,8 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
     returned series is in encoded units; pass ``codec`` so downstream
     decoding knows the bit layout of a binary model.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    window = np.asarray(seed_window, dtype=np.float64).ravel()
-    if window.shape[0] != m.window_size:
-        raise ValueError(
-            f"seed window has {window.shape[0]} values, model expects {m.window_size}")
-
-    sweeps, width = burn_in + 1, sweep_width(m)
-    chunk = max(1, READ_AHEAD_BYTES // (8 * sweeps * width))
-    # The emitted rows follow the seed window's rows, so each window is a view
-    # and each chain starts at the row before; with lag 0 a zero row starts
-    # the first chain, and the chain then persists across emissions.
-    first = max(m.lag, 1)
-    history = np.zeros((first + steps, m.n_visible))
-    history[first - m.lag:first] = window.reshape(m.lag, m.n_visible)
-    out = history[first:]
-    for start in range(0, steps, chunk):
-        stop = min(start + chunk, steps)
-        lu_h, e_v = sweep_variates(rng.random((stop - start, sweeps, width)), m)
-        # a runaway Gaussian rollout overflows; it is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, t in enumerate(range(first + start, first + stop)):
-                window = history[t - m.lag:t].ravel()
-                abias = dynamic_visible_bias(window, m)
-                bbias = dynamic_hidden_bias(window, m)
-                history[t], _h = gibbs_kernel(history[t - 1], m, abias, bbias, lu_h[i], e_v[i])
-        finite = np.isfinite(out[start:stop]).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"rollout went non-finite at step "
-                             f"{start + int(np.argmin(finite))} of {steps}")
+    chunks = rollout_chunks(m, seed_window, steps, rng, burn_in)
+    out = np.empty((steps, m.n_visible))
+    for start, rows in chunks:
+        out[start:start + rows.shape[0]] = rows
     return EncodedSeries(matrix=out, arch=m.arch, codec=codec)

@@ -58,9 +58,13 @@ def logsumexp(x: np.ndarray) -> float:
 def _logit(u: np.ndarray) -> np.ndarray:
     """log(u / (1 - u)) for uniforms in [0, 1); u = 0 maps to -inf.
 
-    Callers silence the divide warning of log(0).
+    Callers silence the divide warning of log(0). One temporary holds
+    1 - u, the ratio and its log; ``u`` is never written, because in
+    training it is a ChainStreams buffer.
     """
-    return np.log(u / (1.0 - u))
+    t = 1.0 - u
+    np.divide(u, t, out=t)
+    return np.log(t, out=t)
 
 
 def softplus(x: np.ndarray, out: np.ndarray | None = None,
@@ -330,8 +334,8 @@ def gibbs_kernel(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.nda
 
 def gibbs_step(v: np.ndarray, m: ModelParams,
                abias: np.ndarray | None = None,
-               bbias: np.ndarray | None = None,
-               rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+               bbias: np.ndarray | None = None, *,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One block-Gibbs transition: sample h ~ P(h|v), then v' ~ P(v|h).
 
     Returns (v', h). Like every sampler here, each row reads sweep_width(m)
@@ -339,7 +343,8 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
     rows read one after another; so a batch call equals row-by-row calls on
     the same generator and leaves it in the same state. Batch calls drew
     other streams before this layout (all rows' hidden uniforms first);
-    single-row calls draw what they always drew.
+    single-row calls draw what they always drew. ``rng``, the generator
+    they come from, must be given by keyword.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:

@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crbm
-from crbm import cli, data
+from crbm import cli, data, generation
 from crbm.cli import main
-from crbm.data import ZScoreParams
+from crbm.data import BinaryCodec, ZScoreParams
+from crbm.model import sweep_width
 from crbm.model_io import ModelFile, load_model, save_model
-from helpers import random_gaussian_model, runaway_gaussian_model, write_forged_model, \
-    write_model_with_slot
+from helpers import random_bernoulli_model, random_gaussian_model, runaway_gaussian_model, \
+    write_forged_model, write_model_with_slot
 
 FIXTURE = Path(__file__).parent / "data" / "toy.csv"
 
@@ -53,6 +55,19 @@ def trained(tmp_path, config_path):
     out = tmp_path / "out"
     assert run(*train_args(out, config_path)) == 0
     return out
+
+
+@pytest.fixture
+def bits_model(tmp_path):
+    """A 16-bit Bernoulli model of 4 assets (64 visible, lag 5), as the
+    rollout benchmark trains."""
+    rng = np.random.default_rng(14)
+    path = tmp_path / "bits.crbm"
+    save_model(ModelFile(params=random_bernoulli_model(rng, 64, 64, scale=0.3, lag=5),
+                         codec=BinaryCodec(np.full(4, -0.1), np.full(4, 0.1)),
+                         asset_names=["a", "b", "c", "d"], seed=0,
+                         seed_window=(rng.random(5 * 64) < 0.5).astype(float)), path)
+    return path
 
 
 def read_csv(path):
@@ -120,6 +135,15 @@ class TestTrain:
         table = np.loadtxt(FIXTURE, delimiter=",", skiprows=1,
                            usecols=(1, 2, 3))[:50]
         np.testing.assert_allclose(mf.codec.mu, table.mean(axis=0), atol=1e-12)
+
+    def test_refused_allocation_is_a_one_line_error(self, tmp_path, config_path, capsys):
+        # W alone would take 3 x 10**15 float64 cells
+        config_path.write_text(config_path.read_text() + "n_hidden=1000000000000000\n")
+        out = tmp_path / "out"
+        assert run(*train_args(out, config_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bernoulli_arch_with_bits(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -198,6 +222,45 @@ class TestGenerate:
         assert err.startswith("error: rollout went non-finite at step ")
         assert err.endswith(" of 5000\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_refused_allocation_is_a_one_line_error(self, trained, tmp_path, capsys):
+        code = run("generate", "--model", trained / "model.crbm", "--steps", 10**15,
+                   "--seed", "1", "--output-dir", tmp_path / "huge")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not (tmp_path / "huge").exists()
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3])
+    @pytest.mark.parametrize("gaussian", [True, False], ids=["gaussian", "bernoulli"])
+    def test_chunk_size_does_not_change_output(self, request, monkeypatch, tmp_path,
+                                               gaussian, rows_per_chunk):
+        path = (request.getfixturevalue("trained") / "model.crbm" if gaussian
+                else request.getfixturevalue("bits_model"))
+        args = ("generate", "--model", path, "--steps", "40", "--seed", "4", "--burn-in", "2")
+        assert run(*args, "--output-dir", tmp_path / "one") == 0
+        # 40 rows fit in one default chunk; these bytes take rows_per_chunk
+        per_row = 8 * 3 * sweep_width(load_model(path).params)
+        monkeypatch.setattr(generation, "READ_AHEAD_BYTES", rows_per_chunk * per_row)
+        assert run(*args, "--output-dir", tmp_path / "many") == 0
+        assert (tmp_path / "many" / "synthetic.csv").read_bytes() == \
+            (tmp_path / "one" / "synthetic.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_encoded_width(self, bits_model, tmp_path):
+        # encoded rows live in a ring of lag + one chunk, and only the decoded
+        # steps x 4 values grow: 192 KB more at 8,000 steps than at 2,000,
+        # where keeping every steps x 64 row adds 3 MB
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert run("generate", "--model", bits_model, "--steps", steps, "--seed",
+                           "1", "--burn-in", "0", "--output-dir", tmp_path / str(steps)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call imports and caches
+        assert peak(8000) - peak(2000) < 2**20
 
 
 class TestStartup:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from crbm import generation
 from crbm.data import BinaryCodec
 from crbm.diagnostics import QUANTILE_LEVELS, SQ_AUTOCORR_LAGS, _autocorrelation, \
     summary_stats
@@ -80,42 +81,66 @@ class TestGenerate:
         np.testing.assert_array_equal(
             np.vstack([head.matrix, tail.matrix]), full.matrix)
 
-    @pytest.mark.parametrize("make, steps, burn_in, boundaries", [
-        pytest.param(random_bernoulli_model, 30, 4, 0, id="random_bernoulli_model"),
-        pytest.param(random_gaussian_model, 30, 4, 0, id="random_gaussian_model"),
-        pytest.param(random_bernoulli_model, 100, 99, 2, id="bernoulli_across_chunks"),
-        pytest.param(random_gaussian_model, 100, 99, 2, id="gaussian_across_chunks"),
-    ])
-    def test_lagged_rollout_is_a_loop_of_gibbs_steps(self, make, steps, burn_in,
-                                                     boundaries):
-        # generate equals, bit for bit, burn_in + 1 gibbs_step calls per row
-        # under the sliding window's dynamic biases, and leaves the generator
-        # in the same state: drawing chunks of rows consumes nothing extra
+    @staticmethod
+    def lagged_model(make, lag):
         rng = np.random.default_rng(11)
-        nv, nh, lag = 3, 4, 2
+        nv, nh = 3, 4
         m = make(rng, nv, nh, lag=lag)
-        chunk = READ_AHEAD_BYTES // (8 * (burn_in + 1) * sweep_width(m))
-        assert (steps - 1) // chunk >= boundaries
         m.A = rng.normal(size=(lag * nv, nv)) * 0.3
         m.B = rng.normal(size=(lag * nv, nh)) * 0.3
         seed_w = ((rng.random(lag * nv) < 0.5).astype(float)
                   if m.arch == ARCH_BERNOULLI else rng.normal(size=lag * nv))
+        return m, seed_w
 
+    @staticmethod
+    def assert_loop_of_gibbs_steps(m, seed_w, steps, burn_in):
+        # generate equals, bit for bit, burn_in + 1 gibbs_step calls per row
+        # under the sliding window's dynamic biases, and leaves the generator
+        # in the same state: drawing chunks of rows consumes nothing extra.
+        # With lag 0 the window is empty and one chain runs from a zero row.
         gen = np.random.default_rng(56)
         out = generate(m, seed_w, steps, gen, burn_in=burn_in)
 
         hand = np.random.default_rng(56)
-        window, rows = seed_w, []
+        nv = m.n_visible
+        window, v, rows = seed_w, np.zeros(nv), []
         for _ in range(steps):
             abias = dynamic_visible_bias(window, m)
             bbias = dynamic_hidden_bias(window, m)
-            v = window[-nv:]
+            if m.lag:
+                v = window[-nv:]
             for _ in range(burn_in + 1):
                 v, _h = gibbs_step(v, m, abias, bbias, rng=hand)
             rows.append(v)
-            window = np.concatenate([window[nv:], v])
+            window = np.concatenate([window, v])[nv:]
         np.testing.assert_array_equal(out.matrix, np.array(rows))
         assert gen.bit_generator.state == hand.bit_generator.state
+
+    @pytest.mark.parametrize("make, lag, steps, burn_in, boundaries", [
+        pytest.param(random_bernoulli_model, 2, 30, 4, 0, id="random_bernoulli_model"),
+        pytest.param(random_gaussian_model, 2, 30, 4, 0, id="random_gaussian_model"),
+        pytest.param(random_bernoulli_model, 2, 100, 99, 2, id="bernoulli_across_chunks"),
+        pytest.param(random_gaussian_model, 2, 100, 99, 2, id="gaussian_across_chunks"),
+        # one sweep per row: over 100 sweeps on the same uniforms a restarted
+        # lag-0 chain would meet the persistent one and hide the restart
+        pytest.param(random_bernoulli_model, 0, 10_000, 0, 2, id="bernoulli_lag0_across_chunks"),
+        pytest.param(random_gaussian_model, 0, 10_000, 0, 2, id="gaussian_lag0_across_chunks"),
+    ])
+    def test_lagged_rollout_is_a_loop_of_gibbs_steps(self, make, lag, steps, burn_in,
+                                                     boundaries):
+        m, seed_w = self.lagged_model(make, lag)
+        chunk = READ_AHEAD_BYTES // (8 * (burn_in + 1) * sweep_width(m))
+        assert (steps - 1) // chunk >= boundaries
+        self.assert_loop_of_gibbs_steps(m, seed_w, steps, burn_in)
+
+    @pytest.mark.parametrize("lag", [0, 1, 2])
+    @pytest.mark.parametrize("steps", [59, 60, 61])
+    def test_steps_around_a_multiple_of_the_chunk(self, monkeypatch, lag, steps):
+        # 3-row chunks: the last one is short, full, or a single row; with
+        # 3 visible bits one wrong boundary can match by chance, 19 cannot
+        m, seed_w = self.lagged_model(random_bernoulli_model, lag)
+        monkeypatch.setattr(generation, "READ_AHEAD_BYTES", 3 * 8 * sweep_width(m))
+        self.assert_loop_of_gibbs_steps(m, seed_w, steps, burn_in=0)
 
     def test_runaway_rollout_names_first_non_finite_step(self):
         m = runaway_gaussian_model()

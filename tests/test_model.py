@@ -296,6 +296,13 @@ class TestGibbs:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_generator_is_a_required_keyword(self):
+        m = random_bernoulli_model(np.random.default_rng(0), 3, 2)
+        with pytest.raises(TypeError, match="rng"):
+            gibbs_step(np.zeros(3), m)
+        with pytest.raises(TypeError):
+            gibbs_step(np.zeros(3), m, None, None, np.random.default_rng(0))
+
     @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
     def test_batch_step_reads_rows_one_after_another(self, make):
         # each row reads its [hidden | visible] uniforms consecutively, so a
