@@ -177,30 +177,51 @@ def _write_corr_csv(path, names, matrix) -> None:
     _write_csv(path, ["asset"] + list(names), [names, *matrix.T])
 
 
+def _stats_size_error(n_quantiles: int, n_rows: int) -> str | None:
+    """The error qq_table, then summary_stats, raises first on series of at
+    least ``n_rows`` rows, or None."""
+    if n_quantiles < 1:
+        return "n_quantiles must be >= 1"
+    if n_rows < n_quantiles:
+        return "need at least n_quantiles values in each sample"
+    if n_rows < 2:
+        return "need a 2-D matrix with at least two rows"
+    return None
+
+
 def cmd_stats(args) -> int:
-    real = data.read_values_csv(args.real)
-    synth = data.read_values_csv(args.synthetic)
-    if real.asset_names != synth.asset_names:
-        raise ValueError(f"asset columns differ: real has {real.asset_names}, "
-                         f"synthetic has {synth.asset_names}")
-    names = real.asset_names
+    # One series at a time: the real values are reduced, and dropped, before
+    # the synthetic CSV is read. Real values that fail a size check fail the
+    # check on both series too; they are not reduced, and their error waits,
+    # so that errors keep their order (real read, synthetic read, column
+    # names, sizes). Every check runs before the output directory is made.
+    table = data.read_values_csv(args.real)
+    names, n_rows = table.asset_names, table.values.shape[0]
+    if _stats_size_error(args.qq_quantiles, n_rows) is None:
+        levels = diagnostics._qq_levels(args.qq_quantiles)
+        real, real_qq = diagnostics._summarize(table.values, names, levels)
+    del table
+    table = data.read_values_csv(args.synthetic)
+    if table.asset_names != names:
+        raise ValueError(f"asset columns differ: real has {names}, "
+                         f"synthetic has {table.asset_names}")
+    error = _stats_size_error(args.qq_quantiles, min(n_rows, table.values.shape[0]))
+    if error is not None:
+        raise ValueError(error)
+    synth, synth_qq = diagnostics._summarize(table.values, names, levels)
     os.makedirs(args.output_dir, exist_ok=True)
 
     for j, name in enumerate(names):
-        qq = diagnostics.qq_table(real.values[:, j], synth.values[:, j],
-                                  n_quantiles=args.qq_quantiles)
         _write_csv(os.path.join(args.output_dir, f"qq_{_safe_filename(name)}.csv"),
-                   ["level", "real", "synthetic"],
-                   [qq.levels, qq.real, qq.synthetic])
+                   ["level", "real", "synthetic"], [levels, real_qq[:, j], synth_qq[:, j]])
 
-    fidelity = diagnostics.correlation_fidelity(real.values, synth.values)
+    fidelity = diagnostics._compare_correlations(real.correlation, synth.correlation)
     _write_corr_csv(os.path.join(args.output_dir, "corr_real.csv"), names, fidelity.real)
     _write_corr_csv(os.path.join(args.output_dir, "corr_synth.csv"), names, fidelity.synthetic)
     _write_corr_csv(os.path.join(args.output_dir, "corr_diff.csv"), names, fidelity.difference)
 
     series = ["real", "synthetic"]
-    stats = [diagnostics.summary_stats(real.values, names),
-             diagnostics.summary_stats(synth.values, names)]
+    stats = [real, synth]
     # one row per series and asset, in that order
     moments = [np.concatenate([getattr(s, field) for s in stats])
                for field in ("mean", "std", "skewness", "excess_kurtosis")]

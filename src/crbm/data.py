@@ -339,9 +339,12 @@ def _bin_indices(values: np.ndarray, lo, hi, bits: int) -> np.ndarray:
     return np.floor(unit * top + 0.5).astype(np.int64)
 
 
-def _bits_msb_first(indices: np.ndarray, bits: int) -> np.ndarray:
+def _bits_msb_first(indices: np.ndarray, bits: int, out=None) -> np.ndarray:
+    """The bits of each index along a new last axis, most significant first;
+    into ``out`` when given, cast to its dtype."""
     shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    return (indices[..., None] >> shifts) & 1
+    return np.bitwise_and(np.right_shift(indices[..., None], shifts), 1, out=out,
+                          casting="unsafe")
 
 
 def binarize(series: RawSeries, codec: BinaryCodec) -> EncodedSeries:
@@ -352,9 +355,13 @@ def binarize(series: RawSeries, codec: BinaryCodec) -> EncodedSeries:
     """
     if series.n_assets != codec.n_assets:
         raise ValueError("series and codec disagree on asset count")
-    idx = _bin_indices(series.values, codec.minimum, codec.maximum, codec.bits_per_asset)
-    bits = _bits_msb_first(idx, codec.bits_per_asset)
-    matrix = bits.reshape(series.n_rows, -1).astype(np.float64)
+    nbits = codec.bits_per_asset
+    idx = _bin_indices(series.values, codec.minimum, codec.maximum, nbits)
+    matrix = np.empty((series.n_rows, series.n_assets * nbits))
+    # one asset's bits at a time, straight into the float64 matrix: no
+    # integer bit array of the whole output
+    for j in range(series.n_assets):
+        _bits_msb_first(idx[:, j], nbits, out=matrix[:, j * nbits:(j + 1) * nbits])
     n_clipped = int(np.count_nonzero((series.values < codec.minimum)
                                      | (series.values > codec.maximum)))
     return EncodedSeries(matrix, ARCH_BERNOULLI, codec=codec, dates=list(series.dates),

@@ -122,8 +122,11 @@ def correlation_fidelity(real: np.ndarray, synthetic: np.ndarray) -> Correlation
         raise ValueError("expected 2-D value matrices")
     if real.shape[1] != synthetic.shape[1]:
         raise ValueError("real and synthetic series have different asset counts")
-    corr_real = _safe_correlation(real)
-    corr_synth = _safe_correlation(synthetic)
+    return _compare_correlations(_safe_correlation(real), _safe_correlation(synthetic))
+
+
+def _compare_correlations(corr_real: np.ndarray, corr_synth: np.ndarray) -> CorrelationFidelity:
+    """The fidelity of two Pearson matrices of the same assets."""
     diff = corr_synth - corr_real
     off = ~np.eye(diff.shape[0], dtype=bool)
     valid = off & np.isfinite(diff)
@@ -148,9 +151,13 @@ def qq_table(real: np.ndarray, synthetic: np.ndarray, n_quantiles: int = 99) -> 
         raise ValueError("n_quantiles must be >= 1")
     if real.shape[0] < n_quantiles or synthetic.shape[0] < n_quantiles:
         raise ValueError("need at least n_quantiles values in each sample")
-    levels = np.arange(1, n_quantiles + 1) / (n_quantiles + 1)
+    levels = _qq_levels(n_quantiles)
     return QQTable(levels=levels, real=np.quantile(real, levels),
                    synthetic=np.quantile(synthetic, levels))
+
+
+def _qq_levels(n_quantiles: int) -> np.ndarray:
+    return np.arange(1, n_quantiles + 1) / (n_quantiles + 1)
 
 
 @dataclass
@@ -174,16 +181,32 @@ class SummaryStats:
     sq_autocorr: np.ndarray
 
 
-def _safe_correlation(matrix: np.ndarray) -> np.ndarray:
-    """Pearson matrix with NaN rows/columns for constant assets."""
-    degenerate = np.ptp(matrix, axis=0) == 0.0
+def _center_and_correlate(x: np.ndarray, mean: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """Pearson matrix of the columns of ``x``, with NaN rows and columns for
+    the ``constant`` ones, centering ``x`` in place about its axis-0 ``mean``.
+
+    This is np.corrcoef's arithmetic (np.cov's centering, product and
+    scaling) on the memory layout np.cov would copy ``x`` into, so the bits
+    are np.corrcoef's; only its (rows, assets) copy is gone.
+    """
+    x -= mean
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(matrix, rowvar=False)
-    corr = np.atleast_2d(corr)
-    corr[degenerate, :] = np.nan
-    corr[:, degenerate] = np.nan
+        corr = np.dot(x.T, x)
+        corr *= np.true_divide(1, x.shape[0] - 1)
+        sd = np.sqrt(np.diag(corr))
+        corr /= sd[:, None]
+        corr /= sd[None, :]
+    np.clip(corr, -1, 1, out=corr)
+    corr[constant, :] = np.nan
+    corr[:, constant] = np.nan
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def _safe_correlation(matrix: np.ndarray) -> np.ndarray:
+    """Pearson matrix with NaN rows/columns for constant assets."""
+    x = np.array(matrix, dtype=np.float64)
+    return _center_and_correlate(x, x.mean(axis=0), np.ptp(x, axis=0) == 0.0)
 
 
 def _autocorrelation(x: np.ndarray, lags) -> np.ndarray:
@@ -199,17 +222,18 @@ def _autocorrelation(x: np.ndarray, lags) -> np.ndarray:
     return out
 
 
-def _column_moments(column: np.ndarray, mean: float) -> tuple[float, float, float]:
+def _column_moments(column: np.ndarray, mean: float,
+                    constant: bool) -> tuple[float, float, float]:
     """Population (biased) std, skewness m3 / m2^1.5 and excess kurtosis
     m4 / m2^2 - 3 of one column about its mean.
 
-    A constant column gets NaN skewness and kurtosis, even when its mean is
-    off by rounding.
+    A ``constant`` column gets NaN skewness and kurtosis, even when its mean
+    is off by rounding.
     """
     dev = column - mean
     d2 = dev * dev
     m2 = d2.mean()
-    if np.ptp(column) == 0.0:
+    if constant:
         return np.sqrt(m2), np.nan, np.nan
     dev *= d2
     d2 *= d2
@@ -221,34 +245,46 @@ def summary_stats(matrix: np.ndarray, asset_names=None) -> SummaryStats:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
-    n_assets = matrix.shape[1]
     if asset_names is None:
-        asset_names = [f"asset_{i}" for i in range(n_assets)]
-    if len(asset_names) != n_assets:
+        asset_names = [f"asset_{i}" for i in range(matrix.shape[1])]
+    if len(asset_names) != matrix.shape[1]:
         raise ValueError("asset name count does not match columns")
-    levels = np.array(QUANTILE_LEVELS)
+    return _summarize(np.array(matrix), asset_names)[0]
+
+
+def _summarize(x: np.ndarray, asset_names, qq_levels=()) -> tuple[SummaryStats, np.ndarray]:
+    """summary_stats of a float64 matrix ``x`` that the caller gives up, and
+    each column's quantiles at ``qq_levels`` (one row per level).
+
+    Columns are reduced one at a time, so their temporaries are rows long,
+    not rows x assets; each gets one np.quantile call for both sets of
+    levels, since a level's value does not depend on the others asked for.
+    The correlation comes last and centers ``x`` in place.
+    """
+    n_qq = len(qq_levels)
+    levels = np.concatenate([qq_levels, QUANTILE_LEVELS])
     lags = np.array(SQ_AUTOCORR_LAGS)
-    correlation = _safe_correlation(matrix)
-    mean = matrix.mean(axis=0)
+    n_assets = x.shape[1]
+    mean = x.mean(axis=0)
+    constant = np.ptp(x, axis=0) == 0.0
     moments = np.empty((3, n_assets))
     quantiles = np.empty((levels.shape[0], n_assets))
     sq_autocorr = np.empty((lags.shape[0], n_assets))
-    # one column at a time: its temporaries are rows long, not rows x assets
     for j in range(n_assets):
-        column = matrix[:, j].copy()
-        moments[:, j] = _column_moments(column, mean[j])
+        column = x[:, j]
+        moments[:, j] = _column_moments(column, mean[j], constant[j])
         quantiles[:, j] = np.quantile(column, levels)
-        column *= column
-        sq_autocorr[:, j] = _autocorrelation(column, lags)
-    return SummaryStats(
+        sq_autocorr[:, j] = _autocorrelation(column * column, lags)
+    stats = SummaryStats(
         asset_names=list(asset_names),
         mean=mean,
         std=moments[0],
         skewness=moments[1],
         excess_kurtosis=moments[2],
-        quantile_levels=levels,
-        quantiles=quantiles,
-        correlation=correlation,
+        quantile_levels=levels[n_qq:],
+        quantiles=quantiles[n_qq:],
+        correlation=_center_and_correlate(x, mean, constant),
         sq_autocorr_lags=lags,
         sq_autocorr=sq_autocorr,
     )
+    return stats, quantiles[:n_qq]

@@ -100,6 +100,19 @@ def naive_window(matrix, t, lag):
     return np.array(flat)
 
 
+def naive_safe_correlation(matrix):
+    """np.corrcoef's Pearson matrix with NaN rows and columns for constant
+    assets and a unit diagonal."""
+    degenerate = np.ptp(matrix, axis=0) == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.corrcoef(matrix, rowvar=False)
+    corr = np.atleast_2d(corr)
+    corr[degenerate, :] = np.nan
+    corr[:, degenerate] = np.nan
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 def naive_quantize(value, lo, hi, bits):
     """Bin index of a clipped value under the uniform codec."""
     top = (1 << bits) - 1

@@ -470,8 +470,72 @@ class TestStats:
                    "--output-dir", tmp_path / "st") == 1
         assert "differ" in capsys.readouterr().err
 
+    def test_one_row_input_is_one_error_line_and_no_output(self, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text("step,A,B\n0,1.0,2.0\n")
+        out = tmp_path / "st"
+        proc = python("-m", "crbm", "stats", "--real", one, "--synthetic", one,
+                      "--qq-quantiles", "1", "--output-dir", out)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: need a 2-D matrix with at least two rows\n"
+        assert not out.exists()
 
-NAME = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    @pytest.mark.parametrize("real_rows,synth_rows,n_quantiles,message", [
+        (5, 5, 0, "n_quantiles must be >= 1"),
+        (5, 9, 6, "need at least n_quantiles values in each sample"),
+        (9, 5, 6, "need at least n_quantiles values in each sample"),
+        (9, 5, 10**15, "need at least n_quantiles values in each sample"),
+        (9, 1, 1, "need a 2-D matrix with at least two rows"),
+    ])
+    def test_size_errors_come_before_any_output(self, tmp_path, capsys, real_rows,
+                                                synth_rows, n_quantiles, message):
+        for name, rows in (("real", real_rows), ("synth", synth_rows)):
+            (tmp_path / f"{name}.csv").write_text(
+                "step,A,B\n" + "".join(f"{t},{t}.5,{-t}\n" for t in range(rows)))
+        out = tmp_path / "st"
+        assert run("stats", "--real", tmp_path / "real.csv", "--synthetic",
+                   tmp_path / "synth.csv", "--qq-quantiles", n_quantiles,
+                   "--output-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_short_real_file_waits_for_the_names_check(self, tmp_path, capsys):
+        real, synth = tmp_path / "real.csv", tmp_path / "synth.csv"
+        real.write_text("step,A,B\n0,1.0,2.0\n1,1.5,2.5\n")
+        synth.write_text("step,X\n0,1.0\n1,2.0\n2,3.0\n")
+        out = tmp_path / "st"
+        assert run("stats", "--real", real, "--synthetic", synth, "--output-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: asset columns differ: real has ['A', 'B'], synthetic has ['X']\n")
+        assert not out.exists()
+
+    def test_peak_memory_holds_one_series(self, tmp_path):
+        # both series and np.corrcoef's centered copy peaked at about 3.1 x
+        # one series' values; one series at a time, centered in place, 1.45 x
+        rng = np.random.default_rng(15)
+        paths = []
+        for name in ("real", "synth"):
+            values = rng.standard_t(4, size=(20_000, 8))
+            path = tmp_path / f"{name}.csv"
+            cli._write_csv(path, ["step"] + [f"A{j}" for j in range(8)],
+                           [np.arange(20_000), *values.T])
+            paths.append(path)
+
+        def stats(out):
+            assert run("stats", "--real", paths[0], "--synthetic", paths[1],
+                       "--output-dir", tmp_path / out) == 0
+
+        stats("warm")  # first-call imports: numpy.ma for np.quantile
+        tracemalloc.start()
+        try:
+            stats("st")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * values.nbytes
+
+
+NAME =st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
                  st.sampled_from(['a,"b"', "", "c\nd", "e\rf", '"', " x ", "2020-01-01"]))
 
 

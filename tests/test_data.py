@@ -232,6 +232,35 @@ class TestBinaryCodec:
         assert enc.n_clipped == 3
         assert binarize(RawSeries(days, np.zeros((3, 2)), ["x", "y"]), codec).n_clipped == 0
 
+    @staticmethod
+    def wide_series(rows, assets, bits):
+        """t(4) values, some beyond a [-2, 2] codec of ``bits`` bits."""
+        values = np.random.default_rng(12).standard_t(4, size=(rows, assets))
+        days = [date(2020, 1, 1) + timedelta(days=t) for t in range(rows)]
+        codec = BinaryCodec(np.full(assets, -2.0), np.full(assets, 2.0), bits_per_asset=bits)
+        return RawSeries(days, values, [f"a{j}" for j in range(assets)]), codec
+
+    @pytest.mark.parametrize("bits", [1, 7, 16, 48])
+    def test_binarize_matches_the_whole_bit_array(self, bits):
+        series, codec = self.wide_series(300, 3, bits)
+        idx = data._bin_indices(series.values, codec.minimum, codec.maximum, bits)
+        shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+        want = ((idx[..., None] >> shifts) & 1).reshape(300, -1).astype(np.float64)
+        enc = binarize(series, codec)
+        assert enc.matrix.tobytes() == want.tobytes()
+        assert enc.n_clipped == np.count_nonzero(np.abs(series.values) > 2.0) > 0
+
+    def test_binarize_peak_memory_holds_no_integer_bit_array(self):
+        # the int64 bit array and its float64 copy peaked at 2.3 x the output
+        series, codec = self.wide_series(20_000, 8, 16)
+        tracemalloc.start()
+        try:
+            enc = binarize(series, codec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * enc.matrix.nbytes
+
 
 class TestZScore:
     def test_population_std(self, toy_series):

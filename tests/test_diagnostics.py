@@ -8,13 +8,18 @@ import pytest
 
 from crbm.data import EncodedSeries
 from crbm.diagnostics import (
+    QUANTILE_LEVELS,
+    _safe_correlation,
+    _summarize,
     correlation_fidelity,
     free_energy_series,
     qq_table,
     regime_flags,
+    summary_stats,
 )
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams, softplus
-from helpers import naive_window, random_bernoulli_model, random_gaussian_model
+from helpers import naive_safe_correlation, naive_window, random_bernoulli_model, \
+    random_gaussian_model
 
 
 def crbm(rng, nv=2, nh=3, lag=2):
@@ -228,6 +233,62 @@ class TestCorrelationFidelity:
     def test_asset_count_mismatch(self):
         with pytest.raises(ValueError, match="asset counts"):
             correlation_fidelity(np.zeros((10, 2)), np.zeros((10, 3)))
+
+
+def correlated_t(rng, rows, assets, offset=0.0):
+    """Student-t(4) rows with a random correlation, per-asset scales from
+    0.01 to 30 and an offset, as the monitor benchmark's returns."""
+    mix = rng.normal(size=(assets, assets)) + 2.0 * np.eye(assets)
+    scale = np.geomspace(0.01, 30.0, assets)
+    return rng.standard_t(4, size=(rows, assets)) @ mix * scale + offset
+
+
+# matrices on which the in-place correlation must give np.corrcoef's bits
+CORRELATION_INPUTS = {
+    "returns_50000x8": lambda rng: correlated_t(rng, 50_000, 8),
+    "offset_50000x8": lambda rng: correlated_t(rng, 50_000, 8, offset=0.7),
+    "123457x5": lambda rng: correlated_t(rng, 123_457, 5),
+    "1000x3": lambda rng: correlated_t(rng, 1_000, 3),
+    "7x2": lambda rng: correlated_t(rng, 7, 2),
+    "2x4": lambda rng: correlated_t(rng, 2, 4),
+    "fortran": lambda rng: np.asfortranarray(correlated_t(rng, 5_000, 6)),
+    "column_slice": lambda rng: correlated_t(rng, 5_000, 7)[:, 1::2],
+    "constant_columns": lambda rng: correlated_t(rng, 5_000, 4) * [1.0, 0.0, 1.0, 0.0]
+    + [0.0, 0.1, 0.0, -3.0],
+    "one_asset": lambda rng: correlated_t(rng, 5_000, 1),
+}
+
+
+class TestInPlaceCorrelation:
+    @pytest.mark.parametrize("case", list(CORRELATION_INPUTS))
+    def test_equals_corrcoef_and_leaves_inputs_unchanged(self, case):
+        x = CORRELATION_INPUTS[case](np.random.default_rng(140))
+        y = CORRELATION_INPUTS[case](np.random.default_rng(141))
+        before = x.copy(order="A"), y.copy(order="A")
+        want_x, want_y = naive_safe_correlation(x), naive_safe_correlation(y)
+        assert np.array_equal(_safe_correlation(x), want_x, equal_nan=True)
+        fidelity = correlation_fidelity(x, y)
+        assert np.array_equal(fidelity.real, want_x, equal_nan=True)
+        assert np.array_equal(fidelity.synthetic, want_y, equal_nan=True)
+        if x.shape[0] >= 2:
+            assert np.array_equal(summary_stats(x).correlation, want_x, equal_nan=True)
+        for got, want in zip((x, y), before):
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_summary_of_an_owned_matrix_adds_the_qq_quantiles(self):
+        x = correlated_t(np.random.default_rng(142), 3_001, 3)
+        levels = np.arange(1, 100) / 100
+        stats, qq = _summarize(x.copy(), ["a", "b", "c"], levels)
+        want = summary_stats(x, ["a", "b", "c"])
+        for field in ("mean", "std", "skewness", "excess_kurtosis", "quantile_levels",
+                      "quantiles", "correlation", "sq_autocorr"):
+            assert getattr(stats, field).tobytes() == getattr(want, field).tobytes(), field
+        # one np.quantile call per column gives each level the bits of its own call
+        for j in range(3):
+            assert qq[:, j].tobytes() == np.quantile(x[:, j], levels).tobytes()
+            assert stats.quantiles[:, j].tobytes() == np.quantile(
+                x[:, j], QUANTILE_LEVELS).tobytes()
 
 
 class TestQQTable:

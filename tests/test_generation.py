@@ -233,7 +233,7 @@ class TestSummaryStats:
     def test_peak_memory_holds_no_squared_matrix(self):
         # squaring all 50,000 x 8 values at once peaked at 3.0 x the input,
         # whole-matrix moments and quantiles at 2.0 x; what is left is the
-        # centered copy inside np.corrcoef
+        # one copy that summary_stats reduces and centers for the correlation
         x = np.random.default_rng(25).standard_t(4, size=(50_000, 8))
         summary_stats(x[:10])  # np.quantile imports numpy.ma on its first call
         tracemalloc.start()
