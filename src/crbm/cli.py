@@ -75,10 +75,8 @@ def _build_train_config(args) -> training.TrainConfig:
 def cmd_train(args) -> int:
     cfg = _build_train_config(args)
     series = data.ingest_csv(args.input, date_column=args.date_column)
-    if args.split_date is not None:
-        train_split, _future = data.chrono_split(series, args.split_date)
-    else:
-        train_split = series
+    train_split = (series if args.split_date is None
+                   else data.chrono_split(series, args.split_date)[0])
     if args.arch == ARCH_BERNOULLI:
         codec = data.fit_binary_codec(train_split, bits=args.bits)
     else:
@@ -208,11 +206,15 @@ def cmd_stats(args) -> int:
     error = _stats_size_error(args.qq_quantiles, min(n_rows, table.values.shape[0]))
     if error is not None:
         raise ValueError(error)
+    qq_files = [f"qq_{_safe_filename(name)}.csv" for name in names]
+    for j, qq_file in enumerate(qq_files):
+        if (i := qq_files.index(qq_file)) != j:
+            raise ValueError(f"assets {names[i]!r} and {names[j]!r} would both write {qq_file}")
     synth, synth_qq = diagnostics._summarize(table.values, names, levels)
     os.makedirs(args.output_dir, exist_ok=True)
 
-    for j, name in enumerate(names):
-        _write_csv(os.path.join(args.output_dir, f"qq_{_safe_filename(name)}.csv"),
+    for j, qq_file in enumerate(qq_files):
+        _write_csv(os.path.join(args.output_dir, qq_file),
                    ["level", "real", "synthetic"], [levels, real_qq[:, j], synth_qq[:, j]])
 
     fidelity = diagnostics._compare_correlations(real.correlation, synth.correlation)

@@ -7,6 +7,7 @@ one. Both are fitted on the training split only, so out-of-sample values
 may fall outside the fitted range; binary encoding clips them.
 """
 
+import bisect
 import csv
 import itertools
 import operator
@@ -113,8 +114,8 @@ class EncodedSeries:
 
     ``arch`` is the architecture the rows feed: ``matrix`` is T x D' where
     D' = n_assets * bits of 0/1 entries for ARCH_BERNOULLI and D' = n_assets
-    z-scores for ARCH_GAUSSIAN. ``dates`` is optional provenance
-    carried along for diagnostics output. ``n_clipped`` counts the input
+    z-scores for ARCH_GAUSSIAN. ``dates`` (optional) is the date list of the
+    encoded series, shared, not copied. ``n_clipped`` counts the input
     cells that binary encoding clipped to the codec's fitted range.
     """
 
@@ -302,17 +303,17 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
 
 
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:
-    """Split into (dates <= boundary, dates > boundary) preserving order.
+    """Split into (dates <= boundary, dates > boundary): views of the values.
 
-    Raises ValueError when either side would be empty.
+    Both share the asset names. Raises ValueError when either side is empty.
     """
-    n_left = sum(1 for d in series.dates if d <= boundary)
+    n_left = bisect.bisect_right(series.dates, boundary)
     if n_left == 0:
         raise ValueError(f"boundary {boundary} precedes the first date; training side empty")
     if n_left == series.n_rows:
         raise ValueError(f"boundary {boundary} is at or after the last date; test side empty")
-    left = RawSeries(series.dates[:n_left], series.values[:n_left].copy(), list(series.asset_names))
-    right = RawSeries(series.dates[n_left:], series.values[n_left:].copy(), list(series.asset_names))
+    left = RawSeries(series.dates[:n_left], series.values[:n_left], series.asset_names)
+    right = RawSeries(series.dates[n_left:], series.values[n_left:], series.asset_names)
     return left, right
 
 
@@ -364,7 +365,7 @@ def binarize(series: RawSeries, codec: BinaryCodec) -> EncodedSeries:
         _bits_msb_first(idx[:, j], nbits, out=matrix[:, j * nbits:(j + 1) * nbits])
     n_clipped = int(np.count_nonzero((series.values < codec.minimum)
                                      | (series.values > codec.maximum)))
-    return EncodedSeries(matrix, ARCH_BERNOULLI, codec=codec, dates=list(series.dates),
+    return EncodedSeries(matrix, ARCH_BERNOULLI, codec=codec, dates=series.dates,
                          n_clipped=n_clipped)
 
 
@@ -387,7 +388,7 @@ def standardize(series: RawSeries, params: ZScoreParams) -> EncodedSeries:
         raise ValueError("series and z-score params disagree on asset count")
     matrix = series.values - params.mu
     matrix /= params.sigma
-    return EncodedSeries(matrix, ARCH_GAUSSIAN, codec=params, dates=list(series.dates))
+    return EncodedSeries(matrix, ARCH_GAUSSIAN, codec=params, dates=series.dates)
 
 
 def destandardize(encoded: EncodedSeries) -> np.ndarray:

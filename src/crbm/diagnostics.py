@@ -36,7 +36,7 @@ class FreeEnergySeries:
     For a Bernoulli model the ``quadratic`` slot carries the linear
     visible-bias term, the only non-softplus part of its free energy; the
     name follows the Gaussian case that diagnostics target. ``labels``
-    aligns rows with input dates (or step indices when dates are unknown).
+    aligns rows with input dates (or row indices when dates are unknown).
     """
 
     labels: list
@@ -48,24 +48,17 @@ class FreeEnergySeries:
         return self.total.shape[0]
 
 
-def free_energy_series(encoded: EncodedSeries, m: ModelParams,
-                       labels=None) -> FreeEnergySeries:
+def free_energy_series(encoded: EncodedSeries, m: ModelParams) -> FreeEnergySeries:
     """Score every row of an encoded series under its own history.
 
-    The first ``m.lag`` rows only seed histories and receive no score.
-    ``labels`` (optional) must cover the full series; the first lag entries
-    are dropped to stay aligned.
+    The first ``m.lag`` rows only seed histories and receive no score, and
+    the labels are the dates (or row indices) of the scored rows.
     """
     windows, targets = build_windows(encoded, m.lag)
     quadratic, structural = conditional_free_energy_terms(targets, windows, m)
-    if labels is None:
-        if encoded.dates is not None:
-            labels = list(encoded.dates)
-        else:
-            labels = list(range(encoded.n_rows))
-    if len(labels) != encoded.n_rows:
-        raise ValueError("label count does not match series length")
-    return FreeEnergySeries(labels=list(labels[m.lag:]), total=quadratic + structural,
+    labels = (encoded.dates[m.lag:] if encoded.dates is not None
+              else list(range(m.lag, encoded.n_rows)))
+    return FreeEnergySeries(labels=labels, total=quadratic + structural,
                             quadratic=quadratic, structural=structural)
 
 

@@ -111,6 +111,8 @@ class ModelParams:
         if arch not in (ARCH_BERNOULLI, ARCH_GAUSSIAN):
             raise ValueError(f"unknown architecture {arch!r}")
         nv, nh = np.shape(W)
+        if nv < 1 or nh < 1:
+            raise ValueError(f"a model needs visible and hidden units, got {nv} and {nh}")
         if np.shape(a) != (nv,) or np.shape(b) != (nh,):
             raise ValueError("bias shapes inconsistent with W")
         if lag < 0:

@@ -138,7 +138,7 @@ def _read_copy(fh, count: int) -> np.ndarray:
 def _read_into(fh, dest: np.ndarray) -> None:
     """Fill the rows of the 2-D float64 view ``dest`` with the next values,
     READ_AHEAD_BYTES of rows at a time: no copy of the whole array exists."""
-    step = max(1, READ_AHEAD_BYTES // (8 * max(1, dest.shape[1])))
+    step = max(1, READ_AHEAD_BYTES // (8 * dest.shape[1]))
     for start in range(0, dest.shape[0], step):
         block = dest[start:start + step]
         block[...] = _read_array(fh, block.shape)

@@ -182,7 +182,7 @@ def init_chains(windows: np.ndarray, targets: np.ndarray, n_chains: int,
     pick_seq, streams_seq = seq.spawn(2)
     picker = np.random.default_rng(pick_seq)
     idx = picker.integers(0, targets.shape[0], size=n_chains)
-    return PersistentChains(v=targets[idx].copy(), windows=windows[idx].copy(),
+    return PersistentChains(v=targets[idx], windows=windows[idx],
                             rngs=ChainStreams(map(np.random.default_rng,
                                                   streams_seq.spawn(n_chains))))
 

@@ -270,3 +270,19 @@ def write_forged_model(path, n_hidden=2**30):
     assert len(payload) == 45
     with open(path, "wb") as fh:
         fh.write(payload)
+
+
+def write_model_without_hidden(path):
+    """A complete Gaussian model file whose header declares no hidden units.
+
+    One asset ``x`` with a z-score codec, one visible unit and lag 0: every
+    array holds the count the header declares, and b, W, A, B and the seed
+    window are empty.
+    """
+    header = (MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<B", 1)
+              + struct.pack("<IIII", 1, 1, 0, 0) + struct.pack("<q", 0))
+    names_and_codec = struct.pack("<H", 1) + b"x" + struct.pack("<Bdd", 1, 0.0, 1.0)
+    # the visible bias, the reserved slot's one, and an empty config text
+    payload = header + names_and_codec + struct.pack("<ddI", 0.0, 1.0, 0)
+    with open(path, "wb") as fh:
+        fh.write(payload)

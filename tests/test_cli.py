@@ -21,7 +21,7 @@ from crbm.data import BinaryCodec, ZScoreParams
 from crbm.model import sweep_width
 from crbm.model_io import ModelFile, load_model, save_model
 from helpers import random_bernoulli_model, random_gaussian_model, runaway_gaussian_model, \
-    write_forged_model, write_model_with_slot
+    write_forged_model, write_model_with_slot, write_model_without_hidden
 
 FIXTURE = Path(__file__).parent / "data" / "toy.csv"
 
@@ -135,6 +135,18 @@ class TestTrain:
         table = np.loadtxt(FIXTURE, delimiter=",", skiprows=1,
                            usecols=(1, 2, 3))[:50]
         np.testing.assert_allclose(mf.codec.mu, table.mean(axis=0), atol=1e-12)
+
+    def test_split_date_trains_as_the_rows_up_to_it(self, tmp_path, config_path):
+        head = tmp_path / "head.csv"
+        with open(FIXTURE) as fh:
+            head.write_text("".join(line for line in fh
+                                    if not line[:1].isdigit() or line[:10] <= "2020-02-19"))
+        assert head.read_text().count("\n") == 51
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        assert run(*train_args(split, config_path, ["--split-date", "2020-02-19"])) == 0
+        assert run(*train_args(whole, config_path, ["--input", head])) == 0
+        for name in ("model.crbm", "train_report.csv"):
+            assert (split / name).read_bytes() == (whole / name).read_bytes()
 
     def test_refused_allocation_is_a_one_line_error(self, tmp_path, config_path, capsys):
         # W alone would take 3 x 10**15 float64 cells
@@ -306,6 +318,20 @@ class TestStartup:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("command", [
+        ["energy", "--input", FIXTURE],
+        ["generate", "--steps", "5", "--seed", "1"],
+    ], ids=["energy", "generate"])
+    def test_model_without_hidden_units_is_a_one_line_error(self, tmp_path, capsys, command):
+        # header and payload agree; only the empty hidden layer is wrong
+        write_model_without_hidden(tmp_path / "empty.crbm")
+        out = tmp_path / "out"
+        assert run(command[0], "--model", tmp_path / "empty.crbm", *command[1:],
+                   "--output-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: a model needs visible and hidden units, got 1 and 0\n")
+        assert not out.exists()
+
     def test_scores_and_flags_schema(self, trained, tmp_path):
         out = tmp_path / "en"
         assert run("energy", "--model", trained / "model.crbm", "--input",
@@ -469,6 +495,21 @@ class TestStats:
         assert run("stats", "--real", FIXTURE, "--synthetic", other,
                    "--output-dir", tmp_path / "st") == 1
         assert "differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header,first,second,qq_file", [
+        ("a b,a_b", "a b", "a_b", "qq_a_b.csv"),
+        ("x,x", "x", "x", "qq_x.csv"),
+    ], ids=["same-safe-name", "same-name"])
+    def test_assets_sharing_a_qq_file_are_refused(self, tmp_path, capsys, header, first,
+                                                  second, qq_file):
+        path = tmp_path / "in.csv"
+        path.write_text(f"date,{header}\n0,1.0,2.0\n1,3.0,1.0\n2,2.0,5.0\n")
+        out = tmp_path / "st"
+        assert run("stats", "--real", path, "--synthetic", path, "--qq-quantiles", "2",
+                   "--output-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: assets {first!r} and {second!r} would both write {qq_file}\n")
+        assert not out.exists()
 
     def test_one_row_input_is_one_error_line_and_no_output(self, tmp_path):
         one = tmp_path / "one.csv"

@@ -152,6 +152,21 @@ class TestChronoSplit:
         np.testing.assert_array_equal(
             np.vstack([left.values, right.values]), toy_series.values)
 
+    def test_sides_are_views_that_share_the_names(self, toy_series):
+        left, right = chrono_split(toy_series, date(2021, 1, 20))
+        for side, rows in ((left, slice(0, 20)), (right, slice(20, 40))):
+            assert np.shares_memory(side.values, toy_series.values)
+            assert side.asset_names is toy_series.asset_names
+            assert side.dates == toy_series.dates[rows]
+            assert side.values.tobytes() == toy_series.values[rows].tobytes()
+
+    def test_boundary_between_dates(self):
+        days = [date(2021, 1, d) for d in (2, 4, 6, 8)]
+        series = RawSeries(days, np.arange(8.0).reshape(4, 2), ["x", "y"])
+        for day, n_left in ((2, 1), (3, 1), (4, 2), (5, 2), (7, 3)):
+            left, right = chrono_split(series, date(2021, 1, day))
+            assert left.dates == days[:n_left] and right.dates == days[n_left:]
+
     def test_empty_side_errors(self, toy_series):
         with pytest.raises(ValueError, match="training side empty"):
             chrono_split(toy_series, date(2020, 12, 31))
@@ -221,7 +236,7 @@ class TestBinaryCodec:
         enc = binarize(toy_series, codec)
         assert enc.arch == ARCH_BERNOULLI
         assert enc.matrix.shape == (40, 21)
-        assert enc.dates == toy_series.dates
+        assert enc.dates is toy_series.dates
 
     def test_binarize_counts_clipped_cells(self):
         codec = BinaryCodec([0.0, -1.0], [1.0, 1.0], bits_per_asset=3)
@@ -282,6 +297,9 @@ class TestZScore:
         enc = standardize(probe, params)
         np.testing.assert_allclose(enc.matrix, 1.0, atol=1e-12)
 
+    def test_standardize_shares_the_date_list(self, toy_series):
+        assert standardize(toy_series, fit_zscore(toy_series)).dates is toy_series.dates
+
     def test_roundtrip_identity(self, toy_series):
         params = fit_zscore(toy_series)
         enc = standardize(toy_series, params)
@@ -303,8 +321,8 @@ class TestZScore:
         finally:
             tracemalloc.stop()
         assert enc.matrix.tobytes() == ((values - params.mu) / params.sigma).tobytes()
-        # the matrix, its date list and the finiteness mask; a second
-        # (rows, assets) temporary would add another 1.0
+        # the matrix and the finiteness mask; a second (rows, assets)
+        # temporary would add another 1.0
         assert peak < 1.5 * values.nbytes
 
     def test_destandardize_mode_guard(self):
