@@ -7,12 +7,14 @@ state only through files.
 """
 
 import argparse
+import contextlib
+import itertools
 import os
 import sys
 
 import numpy as np
 
-from . import data, diagnostics, generation, model_io, training
+from . import data, diagnostics, dynamics, generation, model_io, training
 from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES
 
 SYNTHETIC_FILENAME = "synthetic.csv"
@@ -42,7 +44,14 @@ def _cells(column) -> list:
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write equal-length ``columns`` under ``header``, as csv.writer would.
+    """Write equal-length ``columns`` under ``header``, as csv.writer would."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        _write_rows(fh, columns)
+
+
+def _write_rows(fh, columns) -> None:
+    """Append the rows of equal-length ``columns`` to ``fh``, as csv.writer would.
 
     Rows are formatted and written in blocks, one write per block. A
     formatted cell holds about 128 bytes of Python objects (the value, its
@@ -50,11 +59,9 @@ def _write_csv(path, header, columns) -> None:
     """
     n_rows = len(columns[0])
     step = max(1, READ_AHEAD_BYTES // (128 * len(columns)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
-        for start in range(0, n_rows, step):
-            rows = zip(*(_cells(column[start:start + step]) for column in columns))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    for start in range(0, n_rows, step):
+        rows = zip(*(_cells(column[start:start + step]) for column in columns))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _encode_with(series: data.RawSeries, codec) -> data.EncodedSeries:
@@ -120,50 +127,147 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_energy(args) -> int:
-    mf = model_io.load_model(args.model)
-    series = data.ingest_csv(args.input, date_column=args.date_column)
+def _make_dirs(path) -> list:
+    """os.makedirs(path, exist_ok=True); returns the directories it made,
+    deepest first."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return made
 
+
+def _overlay_index(names, args, mf):
+    """The index of ``--overlay-column`` among the input's value columns
+    ``names``, or None without one. Raises ValueError unless it is there and
+    the other columns are the model's assets, in order."""
     overlay = None
     if args.overlay_column is not None:
-        if args.overlay_column not in series.asset_names:
+        if args.overlay_column not in names:
             raise ValueError(f"overlay column {args.overlay_column!r} not found in "
-                             f"{args.input} (columns: {', '.join(series.asset_names)})")
-        keep = [i for i, name in enumerate(series.asset_names)
-                if name != args.overlay_column]
-        # a copy, so that the raw matrix can go once it is encoded
-        overlay = series.values[:, series.asset_names.index(args.overlay_column)].copy()
-        series = data.RawSeries(dates=series.dates, values=series.values[:, keep],
-                                asset_names=[series.asset_names[i] for i in keep],
-                                n_dropped=series.n_dropped)
-
-    if series.asset_names != list(mf.asset_names):
-        raise ValueError(f"input asset columns {series.asset_names} do not match "
+                             f"{args.input} (columns: {', '.join(names)})")
+        overlay = names.index(args.overlay_column)
+        names = names[:overlay] + names[overlay + 1:]
+    if names != list(mf.asset_names):
+        raise ValueError(f"input asset columns {names} do not match "
                          f"the model's {list(mf.asset_names)}")
-    encoded = _encode_with(series, mf.codec)
-    del series
-    if encoded.n_clipped:
-        print(f"clipped {encoded.n_clipped} cell(s) to the model's fitted range")
-    fe = diagnostics.free_energy_series(encoded, mf.params)
-    flags = diagnostics.regime_flags(fe.total, window=args.flag_window,
-                                     threshold=args.flag_threshold)
+    return overlay
 
-    os.makedirs(args.output_dir, exist_ok=True)
-    energy_path = os.path.join(args.output_dir, ENERGY_FILENAME)
+
+def _write_scores(files, headers, encoded, gauge, totals, m, window, threshold) -> tuple:
+    """Score the rows of ``encoded`` after its first lag, flag them after
+    the ``totals`` before them, and write them with the overlay values
+    ``gauge`` (or None) to ``files``. Returns (the last ``window`` totals,
+    rows flagged)."""
+    fe = diagnostics.free_energy_series(encoded, m)
+    scores = np.concatenate([totals, fe.total])
+    flags = diagnostics.regime_flags(scores, window, threshold)[totals.shape[0]:]
+    columns = [fe.labels, fe.total, fe.quadratic, fe.structural, flags.astype(np.int8), gauge]
+    for fh, header in zip(files, headers):
+        _write_rows(fh, columns[:len(header)])
+    return scores[max(scores.shape[0] - window, 0):].copy(), int(np.count_nonzero(flags))
+
+
+def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tuple:
+    """Score, flag and write the rows of ``(dates, values)`` blocks in date order.
+
+    Each block is encoded and held until a call's worth of rows is: a whole
+    number of score_rows' blocks (dynamics.score_block), about
+    READ_AHEAD_BYTES of encoded rows. A call scores them after the last lag
+    encoded rows before them and flags them after the last ``window``
+    totals before them. So every call's score_rows blocks are those of one
+    call over the whole input, the last one included, and each row gets the
+    same bits as in that call. ``overlay`` is the index of a value column
+    that passes through, or None. File i gets the first ``len(headers[i])``
+    columns. Returns (rows scored, rows flagged, cells clipped).
+    """
+    m, names = mf.params, list(mf.asset_names)
+    step = dynamics.score_block(m)
+    call = step * max(READ_AHEAD_BYTES // (8 * m.n_visible * step), 1)
+    # the rows held for the next call, the lag rows of its first window
+    # first: encoded blocks, their dates and overlay values
+    held, dates, gauge, totals = [], [], [], np.empty(0)
+    n_held = n_scored = n_flagged = n_clipped = 0
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                 for path in paths]
+        for fh, header in zip(files, headers):
+            fh.write(",".join(map(_quote, header)) + "\r\n")
+        for block in itertools.chain(blocks, [None]):  # None: score what is held
+            if block is not None:
+                block_dates, values = block
+                if overlay is not None:
+                    gauge.append(values[:, overlay])
+                    values = np.delete(values, overlay, axis=1)
+                encoded = _encode_with(data.RawSeries(block_dates, values, names), mf.codec)
+                held.append(encoded.matrix)
+                dates += block_dates
+                n_held += encoded.n_rows
+                n_clipped += encoded.n_clipped
+            while n_held - m.lag >= (1 if block is None else call):
+                n = min(n_held - m.lag, call)
+                joined = len(held) > 1
+                rows = np.concatenate(held) if joined else held[0]
+                if overlay is not None:
+                    gauge = [np.concatenate(gauge) if joined else gauge[0]]
+                totals, flagged = _write_scores(
+                    files, headers, data.EncodedSeries(rows[:m.lag + n], m.arch,
+                                                       dates=dates[:m.lag + n]),
+                    gauge[0][m.lag:m.lag + n] if gauge else None, totals, m, window, threshold)
+                n_scored += n
+                n_flagged += flagged
+                # the rest of a joined array is copied, so that it can go
+                held = [rows[n:].copy() if joined else rows[n:]]
+                gauge = [part[n:].copy() if joined else part[n:] for part in gauge]
+                dates, n_held = dates[n:], n_held - n
+    if not n_scored:
+        raise ValueError(f"need more than lag={m.lag} rows, got {n_held}")
+    return n_scored, n_flagged, n_clipped
+
+
+def cmd_energy(args) -> int:
+    # The input streams through a block at a time, into temporary files that
+    # replace the outputs at the end; input whose dates do not ascend is
+    # read whole and sorted instead. An error leaves no output behind.
+    diagnostics.check_flag_rule(args.flag_window, args.flag_threshold)
+    mf = model_io.load_model(args.model)
     header = ["date", "total", "quadratic", "structural", "flag"]
-    columns = [fe.labels, fe.total, fe.quadratic, fe.structural, flags.astype(np.int8)]
-    _write_csv(energy_path, header, columns)
-    written = [energy_path]
-    if overlay is not None:
-        overlay_path = os.path.join(args.output_dir, OVERLAY_FILENAME)
-        _write_csv(overlay_path, header + [args.overlay_column],
-                   columns + [overlay[mf.params.lag:]])
-        written.append(overlay_path)
-    if args.flag_window >= len(fe):
+    paths, headers = [os.path.join(args.output_dir, ENERGY_FILENAME)], [header]
+    if args.overlay_column is not None:
+        paths.append(os.path.join(args.output_dir, OVERLAY_FILENAME))
+        headers.append(header + [args.overlay_column])
+    parts = [path + ".part" for path in paths]
+    rule = (mf, args.flag_window, args.flag_threshold)
+    with contextlib.closing(data.ingest_blocks(args.input, args.date_column)) as blocks:
+        overlay = _overlay_index(next(blocks), args, mf)
+        made = _make_dirs(args.output_dir)
+        try:
+            try:
+                counts = _score_blocks(parts, headers, blocks, *rule, overlay)
+            except data.DatesNotAscending:
+                series = data.ingest_csv(args.input, date_column=args.date_column)
+                # read again: check its columns again
+                overlay = _overlay_index(series.asset_names, args, mf)
+                counts = _score_blocks(parts, headers, [(series.dates, series.values)], *rule,
+                                       overlay)
+            for part, path in zip(parts, paths):
+                os.replace(part, path)
+        except BaseException:
+            for part in parts:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(part)
+            with contextlib.suppress(OSError):
+                for directory in made:
+                    os.rmdir(directory)
+            raise
+    n_scored, n_flagged, n_clipped = counts
+    if n_clipped:
+        print(f"clipped {n_clipped} cell(s) to the model's fitted range")
+    if args.flag_window >= n_scored:
         print(f"no row can be flagged: --flag-window {args.flag_window} is not below "
-              f"the {len(fe)} scored rows")
-    print(f"scored {len(fe)} rows ({int(flags.sum())} flagged); wrote "
-          + ", ".join(written))
+              f"the {n_scored} scored rows")
+    print(f"scored {n_scored} rows ({n_flagged} flagged); wrote " + ", ".join(paths))
     return 0
 
 

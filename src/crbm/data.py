@@ -147,13 +147,23 @@ class EncodedSeries:
         return self.matrix.shape[1]
 
 
-def _parse_block(lines, parse_label, label_idx: int, n_cols: int):
+def _parse_block(lines, text: str, parse_label, label_idx: int, n_cols: int):
     """Parse lines of one label cell and numeric cells with one C call.
 
-    Returns ``(labels, values)`` for the rows, with empty lines skipped.
-    Raises ValueError when any row is ragged or has a label or cell that
-    does not parse; the caller then reads the lines row by row.
+    Returns ``(labels, values)`` for the rows, with empty lines skipped;
+    ``labels`` is None when ``parse_label`` is. Raises ValueError when any
+    row is ragged or has a label or cell that does not parse; the caller
+    then reads the lines row by row.
     """
+    if parse_label is None:
+        # loadtxt skips the first column and ignores cells past the last one
+        # but rejects a row that lacks one, so a row is ragged only if the
+        # lines hold more commas than rows x (n_cols - 1)
+        block = np.loadtxt(lines, delimiter=",", comments=None, usecols=range(1, n_cols),
+                           ndmin=2)
+        if text.count(",") != (n_cols - 1) * block.shape[0]:
+            raise ValueError("ragged block")
+        return None, block
     labels = []
 
     def label(cell):
@@ -171,7 +181,8 @@ def _parse_rows(reader, parse_label, label_idx: int, n_cols: int, labels, values
     """Append the label and cells of each csv row to ``labels`` and ``values``.
 
     A row with the wrong cell count or a label or cell that does not parse
-    is dropped; returns how many were. Non-finite cells are kept.
+    is dropped; returns how many were. Non-finite cells are kept. With no
+    ``parse_label`` the label is not read and ``labels`` is not touched.
     """
     n_dropped = 0
     for row in reader:
@@ -179,91 +190,145 @@ def _parse_rows(reader, parse_label, label_idx: int, n_cols: int, labels, values
             n_dropped += 1
             continue
         try:
-            label = parse_label(row.pop(label_idx))
+            label_cell = row.pop(label_idx)
+            label = None if parse_label is None else parse_label(label_cell)
             values.extend([float(cell) for cell in row])
         except ValueError:
             n_dropped += 1
             continue
-        labels.append(label)
+        if parse_label is not None:
+            labels.append(label)
     return n_dropped
 
 
-def _read_rows(path, parse_label, label_kind: str, label_column: str | None = None):
-    """Read the rows of a headered CSV of one label column and numeric cells.
+def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | None = None):
+    """Read a headered CSV of one label column and numeric cells a block at a time.
 
-    Returns ``(labels, values, asset_names, n_dropped)`` in file order, with
-    ``values`` a (rows, assets) matrix. ``label_column`` names the label
-    column (default: the first); ``parse_label`` turns its cell into the
-    label. A row with the wrong cell count, a label or cell that does not
-    parse, or a non-finite cell is dropped and counted; so is an empty line.
+    Reads the text handle ``fh`` from where it stands; ``path`` names the
+    input in errors. Yields the asset names first, then ``(labels, values,
+    n_dropped)`` for each block of rows in file order, with ``values`` a
+    (rows, assets) matrix that may have no rows. ``label_column`` names the
+    label column (default: the first); ``parse_label`` turns its cell into
+    the label. With ``parse_label`` None the label is the first column, and
+    it is neither parsed nor kept: ``labels`` is None. A row with the wrong
+    cell count, a label or cell that does not parse, or a non-finite cell
+    is dropped and counted; so is an empty line. Raises ValueError when the
+    file holds no parseable row.
 
-    The file is read in blocks of about READ_AHEAD_BYTES / 4 of lines (larger
-    ones kept more RSS after the read and were no faster), and each block is
-    parsed with one ``np.loadtxt`` call. A block that call rejects,
-    or whose text it would read differently from ``csv``, is read row by row
-    with ``csv`` instead: a line longer than the csv field limit, a NUL
-    (which ``csv`` refuses before Python 3.11), or one of the separators
-    \\x1c-\\x1f (which ``loadtxt`` strips as whitespace and ``float`` does
-    not). A quoted cell may span lines, so from the first block that holds
-    a ``"`` the rest of the file is read row by row. What ``csv`` refuses,
-    such as a cell over its field limit, is a ValueError naming the line.
+    A block is about READ_AHEAD_BYTES / 4 of lines (larger ones kept more
+    RSS and were no faster), parsed with one ``np.loadtxt`` call. A block
+    that call rejects, or whose text it would read differently from
+    ``csv``, is read row by row with ``csv`` instead: a line longer than
+    the csv field limit, a NUL (which ``csv`` refuses before Python 3.11),
+    or one of the separators \\x1c-\\x1f (which ``loadtxt`` strips as
+    whitespace and ``float`` does not). A quoted cell may span lines, so
+    from the first block that holds a ``"`` the rest of the file is one
+    block read row by row. What ``csv`` refuses, such as a cell over its
+    field limit, is a ValueError naming the line.
     """
     # a lazy import: the extension adds about 0.1 MiB of RSS to commands
     # that read no CSV, such as generate
     from array import array
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        if len(header) < 2:
-            raise ValueError(f"{path}: need a {label_kind} column plus at least one asset column")
-        if label_column is None:
-            label_idx = 0
-        elif label_column in header:
-            label_idx = header.index(label_column)
-        else:
-            raise ValueError(f"{path}: no column named {label_column!r}")
-        asset_names = header[:label_idx] + header[label_idx + 1:]
-        n_cols = len(header)
-        labels, values, n_dropped = [], array("d"), 0
-        line = reader.line_num
-        while lines := fh.readlines(max(READ_AHEAD_BYTES // 4, 1)):
-            text = "".join(lines)
-            if '"' in text:
-                lines = itertools.chain(lines, fh)
-            # loadtxt warns on a block of empty lines only, which holds no row
-            elif (text.strip("\r\n") and max(map(len, lines)) <= csv.field_size_limit()
-                  and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")):
-                try:
-                    block_labels, block = _parse_block(lines, parse_label, label_idx, n_cols)
-                except ValueError:
-                    pass
-                else:
-                    labels += block_labels
-                    values.frombytes(memoryview(block).cast("B"))
-                    n_dropped += len(lines) - len(block_labels)
-                    line += len(lines)
-                    continue
-            reader = csv.reader(lines)
+    reader = csv.reader(fh)
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, header row required") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(header) < 2:
+        raise ValueError(f"{path}: need a {label_kind} column plus at least one asset column")
+    if label_column is None:
+        label_idx = 0
+    elif label_column in header:
+        label_idx = header.index(label_column)
+    else:
+        raise ValueError(f"{path}: no column named {label_column!r}")
+    yield header[:label_idx] + header[label_idx + 1:]
+    n_cols = len(header)
+    line, n_rows = reader.line_num, 0
+    while lines := fh.readlines(max(READ_AHEAD_BYTES // 4, 1)):
+        text = "".join(lines)
+        labels, values = None, None
+        if '"' in text:
+            lines = itertools.chain(lines, fh)
+        # loadtxt warns on a block of empty lines only, which holds no row
+        elif (text.strip("\r\n") and max(map(len, lines)) <= csv.field_size_limit()
+              and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")):
             try:
-                n_dropped += _parse_rows(reader, parse_label, label_idx, n_cols, labels, values)
+                labels, values = _parse_block(lines, text, parse_label, label_idx, n_cols)
+            except ValueError:
+                pass
+            else:
+                n_dropped = len(lines) - values.shape[0]
+                line += len(lines)
+        if values is None:
+            reader = csv.reader(lines)
+            labels = None if parse_label is None else []
+            cells = array("d")
+            try:
+                n_dropped = _parse_rows(reader, parse_label, label_idx, n_cols, labels, cells)
             except csv.Error as exc:
                 raise ValueError(f"{path}: line {line + reader.line_num}: {exc}") from None
             line += reader.line_num
-    values = np.frombuffer(values).reshape(len(labels), n_cols - 1)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        n_dropped += int(np.count_nonzero(~finite))
-        labels = list(itertools.compress(labels, finite))
-        values = values[finite]
-    if not labels:
+            values = np.frombuffer(cells).reshape(-1, n_cols - 1)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            n_dropped += int(np.count_nonzero(~finite))
+            if labels is not None:
+                labels = list(itertools.compress(labels, finite))
+            values = values[finite]
+        n_rows += values.shape[0]
+        yield labels, values, n_dropped
+    if not n_rows:
         raise ValueError(f"{path}: no parseable rows")
-    return labels, values, asset_names, n_dropped
+
+
+def _count_lines(fh) -> int | None:
+    """The lines of the text handle ``fh``, counted through its binary buffer
+    as ``csv`` ends them, with ``fh`` rewound; None if it cannot seek."""
+    if not fh.seekable():
+        return None
+    n_lines = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+                      for chunk in iter(lambda: fh.buffer.read(READ_AHEAD_BYTES), b""))
+    fh.seek(0)
+    return n_lines
+
+
+def _read_rows(path, fh, parse_label, label_kind: str, label_column: str | None = None):
+    """The whole of ``_read_blocks``: ``(labels, values, asset_names, n_dropped)``.
+
+    The values go into one array with a row for each line of the file,
+    counted before the read, so no value is copied or held twice; growing a
+    buffer block by block copied it each time the allocator could not extend
+    it in place, which raised the peak RSS by up to the size of the values.
+    Input that cannot be counted ahead, such as a pipe, or a file that grows
+    while it is read, grows the array instead. ``labels`` is None with no
+    ``parse_label``.
+    """
+    n_lines = _count_lines(fh)
+    blocks = _read_blocks(path, fh, parse_label, label_kind, label_column)
+    asset_names = next(blocks)
+    values = np.empty((n_lines or 0, len(asset_names)))
+    labels = None if parse_label is None else []
+    n_rows = n_dropped = 0
+    for block_labels, block, block_dropped in blocks:
+        end = n_rows + block.shape[0]
+        if end > values.shape[0]:
+            grown = np.empty((max(end, 2 * values.shape[0]), values.shape[1]))
+            grown[:n_rows] = values[:n_rows]
+            values = grown
+        if labels is not None:
+            labels += block_labels
+        values[n_rows:end] = block
+        n_rows = end
+        n_dropped += block_dropped
+    return labels, values[:n_rows], asset_names, n_dropped
+
+
+def _open_csv(path):
+    return open(path, newline="", encoding="utf-8")
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -291,7 +356,13 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
     Raises FileNotFoundError for a missing file and ValueError when no
     parseable rows remain or two rows share a date.
     """
-    dates, values, asset_names, n_dropped = _read_rows(path, _iso_date, "date", date_column)
+    with _open_csv(path) as fh:
+        return _ingest(path, fh, date_column)
+
+
+def _ingest(path, fh, date_column: str | None) -> RawSeries:
+    """ingest_csv of the text handle ``fh``; ``path`` names it in errors."""
+    dates, values, asset_names, n_dropped = _read_rows(path, fh, _iso_date, "date", date_column)
     if not all(map(operator.lt, dates, dates[1:])):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates = [dates[i] for i in order]
@@ -300,6 +371,39 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
                 raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
         values = values[order]
     return RawSeries(dates, values, asset_names, n_dropped=n_dropped)
+
+
+class DatesNotAscending(Exception):
+    """ingest_blocks met a date that does not strictly ascend."""
+
+
+def ingest_blocks(path, date_column: str | None = None):
+    """Read a dated multi-asset CSV a block at a time, in file order.
+
+    Yields the asset names, then ``(dates, values)`` for each block of one
+    or more rows, read and dropped by ingest_csv's rules. Raises
+    DatesNotAscending at the first date that does not strictly ascend,
+    within a block or across blocks; ingest_csv then reads and sorts the
+    file. Input that cannot seek, such as a pipe, cannot be read again, so
+    it is read whole and sorted by ingest_csv's rules and comes as one block.
+    """
+    with _open_csv(path) as fh:
+        if not fh.seekable():
+            series = _ingest(path, fh, date_column)
+            yield series.asset_names
+            yield series.dates, series.values
+            return
+        blocks = _read_blocks(path, fh, _iso_date, "date", date_column)
+        yield next(blocks)
+        last = None
+        for dates, values, _ in blocks:
+            if not dates:
+                continue
+            if ((last is not None and dates[0] <= last)
+                    or not all(map(operator.lt, dates, dates[1:]))):
+                raise DatesNotAscending(path)
+            last = dates[-1]
+            yield dates, values
 
 
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:
@@ -438,5 +542,6 @@ class TableData:
 
 def read_values_csv(path) -> TableData:
     """Read the values of a CSV of labeled numeric rows, preserving file order."""
-    _, values, asset_names, n_dropped = _read_rows(path, lambda cell: None, "label")
+    with _open_csv(path) as fh:
+        _, values, asset_names, n_dropped = _read_rows(path, fh, None, "label")
     return TableData(values, asset_names, n_dropped)

@@ -62,22 +62,31 @@ def free_energy_series(encoded: EncodedSeries, m: ModelParams) -> FreeEnergySeri
                             quadratic=quadratic, structural=structural)
 
 
+def check_flag_rule(window: int, threshold: float) -> None:
+    """Raise ValueError unless regime_flags can apply this window and
+    threshold; an infinite threshold is allowed and never flags."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+
+
 def regime_flags(total: np.ndarray, window: int = FLAG_WINDOW,
                  threshold: float = FLAG_THRESHOLD) -> np.ndarray:
     """Flag rows whose score exceeds a rolling mean + threshold * std.
 
     The statistics come from the ``window`` scores strictly before each
     row, so a flagged row never contaminates its own baseline. The first
-    ``window`` rows have no full baseline and are never flagged. Rows go
-    through in blocks of READ_AHEAD_BYTES of window, so the temporaries of
-    the standard deviation stay small; each row's statistics are reduced
-    over its own window alone, so the block does not change them.
+    ``window`` rows have no full baseline and are never flagged; a NaN
+    threshold is a ValueError. Rows go through in blocks of READ_AHEAD_BYTES
+    of window, so the temporaries of the standard deviation stay small; each
+    row's statistics are reduced over its own window alone, so the block
+    does not change them.
     """
     total = np.asarray(total, dtype=np.float64)
     if total.ndim != 1:
         raise ValueError("expected a 1-D score array")
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    check_flag_rule(window, threshold)
     flags = np.zeros(total.shape[0], dtype=bool)
     if total.shape[0] <= window:
         return flags
@@ -145,12 +154,41 @@ def qq_table(real: np.ndarray, synthetic: np.ndarray, n_quantiles: int = 99) -> 
     if real.shape[0] < n_quantiles or synthetic.shape[0] < n_quantiles:
         raise ValueError("need at least n_quantiles values in each sample")
     levels = _qq_levels(n_quantiles)
-    return QQTable(levels=levels, real=np.quantile(real, levels),
-                   synthetic=np.quantile(synthetic, levels))
+    return QQTable(levels=levels, real=_quantile(real, levels),
+                   synthetic=_quantile(synthetic, levels))
 
 
 def _qq_levels(n_quantiles: int) -> np.ndarray:
     return np.arange(1, n_quantiles + 1) / (n_quantiles + 1)
+
+
+def _quantile(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """np.quantile(x, levels) of a 1-D array, with the same arithmetic and
+    bits, without the numpy.ma import that np.quantile's np.unique costs.
+
+    Linear interpolation between the order statistics around each virtual
+    index (n - 1) * level, from one partitioned copy of ``x``, partitioned
+    at the indexes np.quantile asks for; with a NaN in ``x``, that NaN at
+    every level.
+    """
+    n = x.shape[0]
+    virtual = (n - 1) * np.asarray(levels, dtype=np.float64)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above = virtual >= n - 1
+    prev[above] = -1
+    nxt[above] = -1
+    gamma = virtual - prev
+    lo, hi = prev.astype(np.intp), nxt.astype(np.intp)
+    kth = np.sort(np.concatenate(([0, -1], lo, hi)))
+    part = np.partition(x, kth[np.diff(kth, prepend=-2) != 0])
+    a, b = part[lo], part[hi]
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    if np.isnan(part[-1]):
+        result[:] = part[-1]
+    return result
 
 
 @dataclass
@@ -250,7 +288,7 @@ def _summarize(x: np.ndarray, asset_names, qq_levels=()) -> tuple[SummaryStats, 
     each column's quantiles at ``qq_levels`` (one row per level).
 
     Columns are reduced one at a time, so their temporaries are rows long,
-    not rows x assets; each gets one np.quantile call for both sets of
+    not rows x assets; each gets one _quantile call for both sets of
     levels, since a level's value does not depend on the others asked for.
     The correlation comes last and centers ``x`` in place.
     """
@@ -266,7 +304,7 @@ def _summarize(x: np.ndarray, asset_names, qq_levels=()) -> tuple[SummaryStats, 
     for j in range(n_assets):
         column = x[:, j]
         moments[:, j] = _column_moments(column, mean[j], constant[j])
-        quantiles[:, j] = np.quantile(column, levels)
+        quantiles[:, j] = _quantile(column, levels)
         sq_autocorr[:, j] = _autocorrelation(column * column, lags)
     stats = SummaryStats(
         asset_names=list(asset_names),

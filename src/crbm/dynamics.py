@@ -76,6 +76,12 @@ def dynamic_visible_bias(window: np.ndarray, m: ModelParams) -> np.ndarray:
     return m.a + window @ m.A
 
 
+def score_block(m: ModelParams) -> int:
+    """The rows score_rows takes per block: READ_AHEAD_BYTES of hidden
+    pre-activation, at least one."""
+    return max(READ_AHEAD_BYTES // (8 * m.n_hidden), 1)
+
+
 def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
                squared_error: bool = False):
     """Free-energy terms of each row at its window's dynamic biases, in one pass.
@@ -105,7 +111,7 @@ def score_rows(v: np.ndarray, window: np.ndarray, m: ModelParams,
     n = math.prod(lead)
     v = np.broadcast_to(v, lead + v.shape[-1:]).reshape(n, m.n_visible)
     window = np.broadcast_to(window, lead + window.shape[-1:]).reshape(n, m.window_size)
-    block = max(READ_AHEAD_BYTES // (8 * m.n_hidden), 1)
+    block = score_block(m)
     pre_buf = np.empty((min(block, n), m.n_hidden))
     work_buf = np.empty_like(pre_buf)
     window_buf = np.empty((pre_buf.shape[0], m.window_size))

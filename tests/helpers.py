@@ -5,9 +5,11 @@ enumeration, deliberately avoiding the library's vectorized or factorized
 forms, so agreement between the two is evidence and not tautology.
 """
 
+import contextlib
 import csv
 import itertools
 import math
+import os
 import struct
 from datetime import date, timedelta
 
@@ -236,6 +238,19 @@ def write_dated_csv(path, values, start=date(2020, 1, 1), names=None):
         for t in range(values.shape[0]):
             writer.writerow([(start + timedelta(days=t)).isoformat()]
                             + [repr(float(x)) for x in values[t]])
+
+
+@contextlib.contextmanager
+def piped(text):
+    """A path that reads ``text`` through an os.pipe, as a shell's ``<(cmd)``
+    does; ``text`` must fit the pipe's buffer (64 KiB on Linux)."""
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
 
 
 def reserved_slot_offset(mf):

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crbm
-from crbm import cli, data, generation
+from crbm import cli, data, dynamics, generation
 from crbm.cli import main
 from crbm.data import BinaryCodec, ZScoreParams
 from crbm.model import sweep_width
 from crbm.model_io import ModelFile, load_model, save_model
 from helpers import random_bernoulli_model, random_gaussian_model, runaway_gaussian_model, \
-    write_forged_model, write_model_with_slot, write_model_without_hidden
+    piped, write_dated_csv, write_forged_model, write_model_with_slot, write_model_without_hidden
 
 FIXTURE = Path(__file__).parent / "data" / "toy.csv"
 
@@ -310,6 +310,19 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"0 {samples}"
 
+    @pytest.mark.parametrize("command", [
+        ("energy", "--model", "{model}", "--input", FIXTURE, "--output-dir", "{out}"),
+        ("stats", "--real", FIXTURE, "--synthetic", FIXTURE, "--output-dir", "{out}"),
+    ], ids=["energy", "stats"])
+    def test_scoring_commands_load_no_numpy_ma(self, trained, tmp_path, command):
+        # np.quantile imports numpy.ma (through np.unique): about 1.4 MiB of RSS
+        argv = [str(a).format(model=trained / "model.crbm", out=tmp_path / "o")
+                for a in command]
+        proc = python("-c", "import sys, crbm.cli; code = crbm.cli.main(sys.argv[1:]); "
+                            "print(code, 'numpy.ma' in sys.modules)", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_importing_main_module_runs_nothing(self, monkeypatch):
         # `python -m crbm --help` itself is run by test_help_loads_no_scipy
         monkeypatch.setattr(sys, "argv", ["crbm", "--no-such-flag"])
@@ -455,6 +468,233 @@ class TestEnergy:
         assert "error:" in capsys.readouterr().err
 
 
+def with_gauge(path, lines):
+    """Write the CSV ``lines`` with a GAUGE column (row number + 0.5) appended."""
+    header, *rows = lines
+    path.write_text("\n".join([header + ",GAUGE"]
+                              + [f"{row},{i}.5" for i, row in enumerate(rows)]) + "\n")
+    return path
+
+
+@pytest.fixture
+def bernoulli_trained(tmp_path, config_path):
+    out = tmp_path / "bern"
+    assert run("train", "--input", FIXTURE, "--arch", "bernoulli", "--seed", "5",
+               "--output-dir", out, "--config", config_path, "--bits", "4") == 0
+    return out
+
+
+class TestEnergyStream:
+    """energy reads, scores, flags and writes a block at a time; the bytes and
+    lines it writes do not depend on the block size or on the input order."""
+
+    FLAGS = ("--flag-window", "7", "--flag-threshold", "1.5")
+
+    @staticmethod
+    def small_blocks(monkeypatch, n_bytes):
+        """Read blocks of about n_bytes / 4 of text; score n_bytes of encoded
+        rows, rounded up to whole score_rows blocks."""
+        monkeypatch.setattr(data, "READ_AHEAD_BYTES", n_bytes)
+        monkeypatch.setattr(cli, "READ_AHEAD_BYTES", n_bytes)
+
+    @staticmethod
+    def score_blocks_of(monkeypatch, n_rows):
+        """score_rows blocks of n_rows rows, for the 6 hidden units of the
+        models here; without it a call scores 5,461 rows at least."""
+        monkeypatch.setattr(dynamics, "READ_AHEAD_BYTES", 8 * 6 * n_rows)
+
+    def energy(self, model, path, out, *extra):
+        return run("energy", "--model", model / "model.crbm", "--input", path,
+                   "--output-dir", out, "--overlay-column", "GAUGE", *self.FLAGS, *extra)
+
+    def outputs(self, out):
+        return [(out / name).read_bytes()
+                for name in ("free_energy.csv", "free_energy_overlay.csv")]
+
+    # lines are 70 to 80 bytes, so read-ahead hints of 1 and 160 bytes read
+    # blocks of 1 and 2 or 3 lines, scored a score_rows block (4 bytes) or a
+    # few at a time; the flag window spans several. score_rows blocks of 7
+    # and 197 rows leave a last block of 2 and of 1 of the 198 scored rows.
+    @pytest.mark.parametrize("score_block", [7, 197])
+    @pytest.mark.parametrize("read_ahead", [4, 640])
+    @pytest.mark.parametrize("arch", ["gaussian", "bernoulli"])
+    def test_block_size_does_not_change_output(self, request, tmp_path, capsys, monkeypatch,
+                                               arch, read_ahead, score_block):
+        model = request.getfixturevalue("trained" if arch == "gaussian"
+                                        else "bernoulli_trained")
+        # the blocks of the one score_rows call that the stream must match
+        self.score_blocks_of(monkeypatch, score_block)
+        path = with_gauge(tmp_path / "in.csv", FIXTURE.read_text().splitlines())
+        capsys.readouterr()
+        assert self.energy(model, path, tmp_path / "whole") == 0
+        whole = capsys.readouterr().out.replace("whole", "OUT")
+        self.small_blocks(monkeypatch, read_ahead)
+        calls, score_rows = [], dynamics.score_rows
+        monkeypatch.setattr(dynamics, "score_rows",
+                            lambda v, w, m: calls.append(v.shape[0]) or score_rows(v, w, m))
+        assert self.energy(model, path, tmp_path / "blocks") == 0
+        assert len(calls) > 1 and sum(calls) == 198
+        assert all(n % score_block == 0 for n in calls[:-1])
+        assert capsys.readouterr().out.replace("blocks", "OUT") == whole
+        assert self.outputs(tmp_path / "blocks") == self.outputs(tmp_path / "whole")
+        assert sorted(os.listdir(tmp_path / "blocks")) == ["free_energy.csv",
+                                                          "free_energy_overlay.csv"]
+        flags = [row["flag"] for row in read_csv(tmp_path / "whole" / "free_energy.csv")]
+        assert "1" in flags[7:]
+
+    def test_unsorted_rows_take_the_whole_file_path(self, trained, tmp_path, capsys,
+                                                    monkeypatch):
+        header, *rows = FIXTURE.read_text().splitlines()
+        sorted_path = with_gauge(tmp_path / "sorted.csv", [header, *rows])
+        order = np.random.default_rng(17).permutation(len(rows))
+        # the first blocks ascend, so the stream has written rows when it gives up
+        order = np.concatenate([np.arange(20), order[order >= 20]])
+        shuffled = tmp_path / "shuffled.csv"
+        gauged = sorted_path.read_text().splitlines()
+        shuffled.write_text("\n".join([gauged[0]] + [gauged[1 + i] for i in order]) + "\n")
+        self.score_blocks_of(monkeypatch, 7)
+        assert self.energy(trained, sorted_path, tmp_path / "want") == 0
+        want = capsys.readouterr().out.replace("want", "OUT")
+
+        ingest, seen = data.ingest_csv, []
+
+        def spy(path, date_column=None):
+            seen.append(sorted(os.listdir(tmp_path / "got")))
+            seen.append((tmp_path / "got" / "free_energy.csv.part").read_text().count("\n"))
+            return ingest(path, date_column=date_column)
+
+        monkeypatch.setattr(data, "ingest_csv", spy)
+        self.small_blocks(monkeypatch, 400)
+        assert self.energy(trained, shuffled, tmp_path / "got") == 0
+        assert seen[0] == ["free_energy.csv.part", "free_energy_overlay.csv.part"]
+        assert seen[1] > 1 and len(seen) == 2
+        assert capsys.readouterr().out.replace("got", "OUT") == want
+        assert self.outputs(tmp_path / "got") == self.outputs(tmp_path / "want")
+
+    @pytest.mark.parametrize("last_line, message", [
+        ("2020-07-18,1.0,2.0,3.0", "duplicate date 2020-07-18"),
+        ("2020-07-19," + "1" * 200_000 + ",2.0,3.0",
+         "line 202: field larger than field limit (131072)"),
+    ], ids=["duplicate_date", "csv_error"])
+    def test_error_in_the_last_block_leaves_nothing(self, trained, tmp_path, capsys,
+                                                    monkeypatch, last_line, message):
+        path = tmp_path / "in.csv"
+        path.write_text(FIXTURE.read_text() + last_line + "\n")
+        out = tmp_path / "new" / "en"
+        self.small_blocks(monkeypatch, 400)
+        self.score_blocks_of(monkeypatch, 7)
+        write, written = cli._write_rows, []
+
+        def spy(fh, columns):
+            write(fh, columns)
+            written.append(len(columns[0]))
+
+        monkeypatch.setattr(cli, "_write_rows", spy)
+        capsys.readouterr()
+        assert run("energy", "--model", trained / "model.crbm", "--input", path,
+                   "--output-dir", out) == 1
+        assert sum(written) > 150  # rows were written before the error
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in.csv", "out"]
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_pipe_gives_what_the_file_gives(self, trained, tmp_path, capsys, monkeypatch,
+                                            ascending):
+        # a pipe is read once: whole, and sorted if its dates do not ascend
+        header, *rows = FIXTURE.read_text().splitlines()
+        path = with_gauge(tmp_path / "in.csv", [header, *(rows if ascending else rows[::-1])])
+        self.small_blocks(monkeypatch, 400)
+        assert self.energy(trained, path, tmp_path / "want") == 0
+        want = capsys.readouterr().out.replace(str(tmp_path / "want"), "OUT")
+        with piped(path.read_text()) as pipe:
+            assert self.energy(trained, pipe, tmp_path / "got") == 0
+        assert capsys.readouterr().out.replace(str(tmp_path / "got"), "OUT") == want
+        assert self.outputs(tmp_path / "got") == self.outputs(tmp_path / "want")
+
+    def test_columns_are_checked_again_when_the_file_is_read_again(self, trained, tmp_path,
+                                                                   capsys, monkeypatch):
+        # unsorted input is read twice; the file may have changed in between
+        header, *rows = FIXTURE.read_text().splitlines()
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        ingest = data.ingest_csv
+
+        def replaced(name, date_column=None):
+            path.write_text(path.read_text().replace("RATES", "BONDS", 1))
+            return ingest(name, date_column=date_column)
+
+        monkeypatch.setattr(data, "ingest_csv", replaced)
+        capsys.readouterr()
+        out = tmp_path / "en"
+        assert run("energy", "--model", trained / "model.crbm", "--input", path,
+                   "--output-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: input asset columns ['EQ', 'BONDS', 'FX'] do not match "
+            "the model's ['EQ', 'RATES', 'FX']\n")
+        assert not out.exists()
+
+    def test_error_keeps_a_directory_the_run_did_not_make(self, trained, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(FIXTURE.read_text() + "2020-07-18,1.0,2.0,3.0\n")
+        (tmp_path / "en").mkdir()
+        (tmp_path / "en" / "free_energy.csv").write_text("kept")
+        assert run("energy", "--model", trained / "model.crbm", "--input", path,
+                   "--output-dir", tmp_path / "en") == 1
+        assert os.listdir(tmp_path / "en") == ["free_energy.csv"]
+        assert (tmp_path / "en" / "free_energy.csv").read_text() == "kept"
+
+    def test_lines_printed_at_the_end(self, bernoulli_trained, tmp_path, capsys,
+                                      monkeypatch):
+        lines = FIXTURE.read_text().splitlines()
+        date, *cells = lines[10].split(",")
+        lines[10] = ",".join([date, "1e6", cells[1], "-1e6"])
+        shocked = tmp_path / "shocked.csv"
+        shocked.write_text("\n".join(lines) + "\n")
+        self.small_blocks(monkeypatch, 400)
+        capsys.readouterr()
+        out = tmp_path / "en"
+        assert run("energy", "--model", bernoulli_trained / "model.crbm", "--input", shocked,
+                   "--output-dir", out, "--flag-window", "198") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "clipped 2 cell(s) to the model's fitted range",
+            "no row can be flagged: --flag-window 198 is not below the 198 scored rows",
+            f"scored 198 rows (0 flagged); wrote {out / 'free_energy.csv'}",
+        ]
+
+    @pytest.mark.parametrize("flag, message", [
+        (("--flag-window", "1"), "window must be >= 2"),
+        (("--flag-threshold", "nan"), "threshold must not be NaN"),
+    ], ids=["window", "nan_threshold"])
+    def test_flag_rule_is_checked_before_the_input(self, trained, tmp_path, capsys, flag,
+                                                   message):
+        out = tmp_path / "en"
+        assert run("energy", "--model", trained / "model.crbm", "--input",
+                   tmp_path / "missing.csv", "--output-dir", out, *flag) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_rows(self, trained, tmp_path):
+        # the whole file held its values, their z-scores and a date per row
+        rng = np.random.default_rng(18)
+        paths = {}
+        for n_rows in (20_000, 80_000):
+            paths[n_rows] = tmp_path / f"rows{n_rows}.csv"
+            write_dated_csv(paths[n_rows], rng.normal(size=(n_rows, 3)),
+                            names=["EQ", "RATES", "FX"])
+
+        def peak(n_rows):
+            tracemalloc.start()
+            try:
+                assert run("energy", "--model", trained / "model.crbm", "--input",
+                           paths[n_rows], "--output-dir", tmp_path / "en") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20_000)  # first-call imports and caches
+        assert peak(80_000) - peak(20_000) < 2**19
+
+
 class TestStats:
     def test_identical_files_zero_difference(self, tmp_path, capsys):
         out = tmp_path / "st"
@@ -566,7 +806,7 @@ class TestStats:
             assert run("stats", "--real", paths[0], "--synthetic", paths[1],
                        "--output-dir", tmp_path / out) == 0
 
-        stats("warm")  # first-call imports: numpy.ma for np.quantile
+        stats("warm")  # first-call imports and caches
         tracemalloc.start()
         try:
             stats("st")

@@ -13,6 +13,7 @@ from crbm import data
 
 from crbm.data import (
     BinaryCodec,
+    DatesNotAscending,
     EncodedSeries,
     RawSeries,
     ZScoreParams,
@@ -22,13 +23,14 @@ from crbm.data import (
     destandardize,
     fit_binary_codec,
     fit_zscore,
+    ingest_blocks,
     ingest_csv,
     read_values_csv,
     standardize,
 )
 from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN
 from helpers import decode_binary, encode_binary, naive_bits, naive_quantize, \
-    naive_read_rows, naive_unquantize, write_dated_csv
+    naive_read_rows, naive_unquantize, piped, write_dated_csv
 
 
 @pytest.fixture
@@ -380,6 +382,99 @@ class TestValuesCsv:
         path.write_text("step,A\n0,nan\n")
         with pytest.raises(ValueError, match="no parseable rows"):
             read_values_csv(path)
+
+
+    @pytest.mark.parametrize("rows, want, n_dropped", [
+        ("0,1.0,2.0\n1,3.0,4.0,\n2,5.0,6.0\n", [[1, 2], [5, 6]], 1),
+        ("0,1.0,2.0\n1,3.0\n2,5.0,6.0\n", [[1, 2], [5, 6]], 1),
+        # as many commas as three good rows: the short row must still show
+        ("0,1.0,2.0\n1,3.0,4.0,9\n2,5.0\n3,7.0,8.0\n", [[1, 2], [7, 8]], 2),
+        ("0,1.0,2.0\n\n \n\t\n\r\n2,5.0,6.0\n", [[1, 2], [5, 6]], 4),
+        ('0,1.0,2.0\n"1",3.0,4.0\n2,"5.0",6.0\n', [[1, 2], [3, 4], [5, 6]], 0),
+    ], ids=["trailing_comma", "short_row", "long_and_short_row", "blank_lines", "quoted"])
+    def test_ragged_and_blank_lines_as_the_row_reader(self, tmp_path, rows, want, n_dropped):
+        # without labels, raggedness is a comma count over the whole block
+        path = tmp_path / "vals.csv"
+        path.write_text("step,A,B\n" + rows, newline="")
+        table = read_values_csv(path)
+        np.testing.assert_array_equal(table.values, want)
+        assert table.n_dropped == n_dropped
+        _, values, names, dropped = naive_read_rows(path, str, "label")
+        assert (table.values.tobytes(), table.asset_names, table.n_dropped) == (
+            values.tobytes(), names, dropped)
+
+
+    def test_rows_past_the_line_count_grow_the_values(self, tmp_path, monkeypatch):
+        # as a file that grows while it is read: more rows than lines counted
+        path = tmp_path / "vals.csv"
+        write_dated_csv(path, np.random.default_rng(8).normal(size=(300, 2)))
+        want = read_values_csv(path)
+        monkeypatch.setattr(data, "READ_AHEAD_BYTES", 400)
+        monkeypatch.setattr(data, "_count_lines", lambda fh: 3)
+        got = read_values_csv(path)
+        assert (got.values.tobytes(), got.n_dropped) == (want.values.tobytes(), want.n_dropped)
+
+
+class TestPipedInput:
+    """A pipe is read once, through one handle, and gives what the file gives."""
+
+    @pytest.fixture
+    def dated(self, tmp_path, monkeypatch):
+        """A dated CSV of 400 rows (about 20 KB, one pipe buffer), read in
+        blocks of a few lines."""
+        path = tmp_path / "in.csv"
+        write_dated_csv(path, np.random.default_rng(9).normal(size=(400, 2)))
+        monkeypatch.setattr(data, "READ_AHEAD_BYTES", 400)
+        return path
+
+    @staticmethod
+    def reverse(path):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_pipe_reads_as_the_file(self, dated, ascending):
+        if not ascending:
+            self.reverse(dated)
+        want_series, want_table = ingest_csv(dated), read_values_csv(dated)
+        with piped(dated.read_text()) as path:
+            series = ingest_csv(path)
+        with piped(dated.read_text()) as path:
+            table = read_values_csv(path)
+        assert (series.dates, series.values.tobytes(), series.n_dropped) == (
+            want_series.dates, want_series.values.tobytes(), want_series.n_dropped)
+        assert (table.values.tobytes(), table.n_dropped) == (
+            want_table.values.tobytes(), want_table.n_dropped)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_blocks_of_a_pipe_are_the_sorted_rows(self, dated, ascending):
+        # a pipe cannot be read again, so it comes whole and sorted
+        if not ascending:
+            self.reverse(dated)
+        want = ingest_csv(dated)
+        with piped(dated.read_text()) as path:
+            names, *blocks = ingest_blocks(path)
+        assert names == want.asset_names and len(blocks) == 1
+        assert (blocks[0][0], blocks[0][1].tobytes()) == (want.dates, want.values.tobytes())
+
+    def test_blocks_of_a_file_are_its_rows(self, dated):
+        want = ingest_csv(dated)
+        names, *blocks = ingest_blocks(dated)
+        assert names == want.asset_names and len(blocks) > 1
+        assert [d for dates, _ in blocks for d in dates] == want.dates
+        assert np.concatenate([v for _, v in blocks]).tobytes() == want.values.tobytes()
+
+    def test_blocks_stop_at_a_date_out_of_order(self, dated):
+        header, *rows = dated.read_text().splitlines()
+        rows[300], rows[301] = rows[301], rows[300]
+        dated.write_text("\n".join([header, *rows]) + "\n")
+        blocks = ingest_blocks(dated)
+        next(blocks)
+        seen = []
+        with pytest.raises(DatesNotAscending):
+            for dates, _ in blocks:
+                seen += dates
+        assert 0 < len(seen) <= 300
 
 
 class TestStreamingRead:

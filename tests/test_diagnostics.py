@@ -5,10 +5,14 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm.data import EncodedSeries
 from crbm.diagnostics import (
     QUANTILE_LEVELS,
+    _qq_levels,
+    _quantile,
     _safe_correlation,
     _summarize,
     correlation_fidelity,
@@ -198,6 +202,13 @@ class TestRegimeFlags:
         with pytest.raises(ValueError, match="1-D"):
             regime_flags(np.zeros((5, 2)))
 
+    def test_nan_threshold_is_an_error(self):
+        # every comparison with a NaN cutoff is False: it would flag nothing
+        total = np.arange(30.0)
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            regime_flags(total, window=5, threshold=float("nan"))
+        assert not regime_flags(total, window=5, threshold=float("inf")).any()
+
 
 class TestCorrelationFidelity:
     def test_identical_inputs_score_zero(self):
@@ -294,7 +305,7 @@ class TestInPlaceCorrelation:
         for field in ("mean", "std", "skewness", "excess_kurtosis", "quantile_levels",
                       "quantiles", "correlation", "sq_autocorr"):
             assert getattr(stats, field).tobytes() == getattr(want, field).tobytes(), field
-        # one np.quantile call per column gives each level the bits of its own call
+        # one quantile call per column gives each level the bits of its own call
         for j in range(3):
             assert qq[:, j].tobytes() == np.quantile(x[:, j], levels).tobytes()
             assert stats.quantiles[:, j].tobytes() == np.quantile(
@@ -331,3 +342,26 @@ class TestQQTable:
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="n_quantiles"):
             qq_table(np.zeros(5), np.zeros(100), n_quantiles=10)
+
+
+SAMPLE = st.one_of(
+    st.lists(st.floats(width=64, allow_infinity=False), min_size=1, max_size=300),
+    # ties, and values on a coarse grid
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300),
+    st.lists(st.floats(-5, 5).map(lambda x: round(x, 2)), min_size=1, max_size=300),
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=300),
+)
+
+
+class TestQuantile:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sample=SAMPLE, n_qq=st.integers(1, 120),
+           extra=st.lists(st.floats(0.0, 1.0), max_size=5))
+    def test_bits_equal_np_quantile(self, sample, n_qq, extra):
+        x = np.array(sample)
+        levels = np.concatenate([_qq_levels(n_qq), QUANTILE_LEVELS, extra, [0.0, 1.0]])
+        with np.errstate(all="ignore"):  # 1e300-wide gaps overflow in both
+            want = np.quantile(x, levels)
+            got = _quantile(x, levels)
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == np.array(sample).tobytes()  # the input is not reordered

@@ -235,7 +235,7 @@ class TestSummaryStats:
         # whole-matrix moments and quantiles at 2.0 x; what is left is the
         # one copy that summary_stats reduces and centers for the correlation
         x = np.random.default_rng(25).standard_t(4, size=(50_000, 8))
-        summary_stats(x[:10])  # np.quantile imports numpy.ma on its first call
+        summary_stats(x[:10])  # first-call imports and caches
         tracemalloc.start()
         try:
             summary_stats(x)
