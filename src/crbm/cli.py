@@ -155,74 +155,59 @@ def _overlay_index(names, args, mf):
     return overlay
 
 
-def _write_scores(files, headers, encoded, gauge, totals, m, window, threshold) -> tuple:
-    """Score the rows of ``encoded`` after its first lag, flag them after
-    the ``totals`` before them, and write them with the overlay values
-    ``gauge`` (or None) to ``files``. Returns (the last ``window`` totals,
-    rows flagged)."""
-    fe = diagnostics.free_energy_series(encoded, m)
-    scores = np.concatenate([totals, fe.total])
-    flags = diagnostics.regime_flags(scores, window, threshold)[totals.shape[0]:]
-    columns = [fe.labels, fe.total, fe.quadratic, fe.structural, flags.astype(np.int8), gauge]
-    for fh, header in zip(files, headers):
-        _write_rows(fh, columns[:len(header)])
-    return scores[max(scores.shape[0] - window, 0):].copy(), int(np.count_nonzero(flags))
-
-
 def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tuple:
     """Score, flag and write the rows of ``(dates, values)`` blocks in date order.
 
-    Each block is encoded and held until a call's worth of rows is: a whole
-    number of score_rows' blocks (dynamics.score_block), about
-    READ_AHEAD_BYTES of encoded rows. A call scores them after the last lag
-    encoded rows before them and flags them after the last ``window``
-    totals before them. So every call's score_rows blocks are those of one
-    call over the whole input, the last one included, and each row gets the
-    same bits as in that call. ``overlay`` is the index of a value column
-    that passes through, or None. File i gets the first ``len(headers[i])``
-    columns. Returns (rows scored, rows flagged, cells clipped).
+    Encoded rows are carried until a call's worth is: a whole number of
+    score_rows' blocks (dynamics.score_block), about READ_AHEAD_BYTES. A
+    call scores them after the last lag rows before them and flags them
+    after the last ``window`` totals before them, so its score_rows blocks,
+    and each row's bits, are those of one call over the whole input.
+    ``overlay`` is the index of a value column that passes through, or None.
+    File i gets the first ``len(headers[i])`` columns. Returns (rows scored,
+    rows flagged, cells clipped). Raises ValueError at the first row whose
+    free energy is not finite.
     """
     m, names = mf.params, list(mf.asset_names)
     step = dynamics.score_block(m)
     call = step * max(READ_AHEAD_BYTES // (8 * m.n_visible * step), 1)
-    # the rows held for the next call, the lag rows of its first window
-    # first: encoded blocks, their dates and overlay values
-    held, dates, gauge, totals = [], [], [], np.empty(0)
-    n_held = n_scored = n_flagged = n_clipped = 0
+    # carried to the next call: encoded rows (its first window's lag first), dates, overlay values
+    rows, dates, gauge, totals = np.empty((0, m.n_visible)), [], np.empty(0), np.empty(0)
+    n_scored = n_flagged = n_clipped = 0
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
                  for path in paths]
         for fh, header in zip(files, headers):
             fh.write(",".join(map(_quote, header)) + "\r\n")
-        for block in itertools.chain(blocks, [None]):  # None: score what is held
-            if block is not None:
-                block_dates, values = block
+        for block_dates, values in itertools.chain(blocks, [(None, None)]):  # None: what is left
+            if values is not None:
                 if overlay is not None:
-                    gauge.append(values[:, overlay])
+                    gauge = np.concatenate([gauge, values[:, overlay]])
                     values = np.delete(values, overlay, axis=1)
                 encoded = _encode_with(data.RawSeries(block_dates, values, names), mf.codec)
-                held.append(encoded.matrix)
+                rows = np.concatenate([rows, encoded.matrix]) if len(rows) else encoded.matrix
                 dates += block_dates
-                n_held += encoded.n_rows
                 n_clipped += encoded.n_clipped
-            while n_held - m.lag >= (1 if block is None else call):
-                n = min(n_held - m.lag, call)
-                joined = len(held) > 1
-                rows = np.concatenate(held) if joined else held[0]
-                if overlay is not None:
-                    gauge = [np.concatenate(gauge) if joined else gauge[0]]
-                totals, flagged = _write_scores(
-                    files, headers, data.EncodedSeries(rows[:m.lag + n], m.arch,
-                                                       dates=dates[:m.lag + n]),
-                    gauge[0][m.lag:m.lag + n] if gauge else None, totals, m, window, threshold)
+            while len(rows) - m.lag >= (1 if values is None else call):
+                n = min(len(rows) - m.lag, call)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fe = diagnostics.free_energy_series(
+                        data.EncodedSeries(rows[:m.lag + n], m.arch, dates=dates[:m.lag + n]), m)
+                if (bad := ~np.isfinite(fe.total)).any():
+                    raise ValueError(f"free energy is not finite at {fe.labels[bad.argmax()]}")
+                scores = np.concatenate([totals, fe.total])
+                flags = diagnostics.regime_flags(scores, window, threshold)[len(totals):]
+                columns = [fe.labels, fe.total, fe.quadratic, fe.structural,
+                           flags.astype(np.int8), gauge[m.lag:m.lag + n]]
+                for fh, header in zip(files, headers):
+                    _write_rows(fh, columns[:len(header)])
+                totals = scores[max(len(scores) - window, 0):].copy()
                 n_scored += n
-                n_flagged += flagged
-                # the rest of a joined array is copied, so that it can go
-                held = [rows[n:].copy() if joined else rows[n:]]
-                gauge = [part[n:].copy() if joined else part[n:] for part in gauge]
-                dates, n_held = dates[n:], n_held - n
+                n_flagged += int(np.count_nonzero(flags))
+                del fe, scores, flags, columns  # free them before the next call makes its own
+                rows, dates, gauge = rows[n:], dates[n:], gauge[n:]
     if not n_scored:
-        raise ValueError(f"need more than lag={m.lag} rows, got {n_held}")
+        raise ValueError(f"need more than lag={m.lag} rows, got {len(rows)}")
     return n_scored, n_flagged, n_clipped
 
 

@@ -177,15 +177,17 @@ def _parse_block(lines, text: str, parse_label, label_idx: int, n_cols: int):
     return labels, np.delete(block, label_idx, axis=1)
 
 
-def _parse_rows(reader, parse_label, label_idx: int, n_cols: int, labels, values) -> int:
-    """Append the label and cells of each csv row to ``labels`` and ``values``.
+def _parse_rows(reader, n_lines: int, parse_label, label_idx: int, n_cols: int, labels,
+                values) -> int:
+    """Append the label and cells of each csv row to ``labels`` and ``values``,
+    up to the row during which the reader reaches line ``n_lines``.
 
     A row with the wrong cell count or a label or cell that does not parse
     is dropped; returns how many were. Non-finite cells are kept. With no
     ``parse_label`` the label is not read and ``labels`` is not touched.
     """
     n_dropped = 0
-    for row in reader:
+    while reader.line_num < n_lines and (row := next(reader, None)) is not None:
         if len(row) != n_cols:
             n_dropped += 1
             continue
@@ -221,10 +223,10 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     ``csv``, is read row by row with ``csv`` instead: a line longer than
     the csv field limit, a NUL (which ``csv`` refuses before Python 3.11),
     or one of the separators \\x1c-\\x1f (which ``loadtxt`` strips as
-    whitespace and ``float`` does not). A quoted cell may span lines, so
-    from the first block that holds a ``"`` the rest of the file is one
-    block read row by row. What ``csv`` refuses, such as a cell over its
-    field limit, is a ValueError naming the line.
+    whitespace and ``float`` does not). A quoted cell may span lines, so a
+    block that holds a ``"`` is read row by row, on past its last line to
+    the end of the row it is in. What ``csv`` refuses, such as a cell over
+    its field limit, is a ValueError naming the line.
     """
     # a lazy import: the extension adds about 0.1 MiB of RSS to commands
     # that read no CSV, such as generate
@@ -249,7 +251,7 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     n_cols = len(header)
     line, n_rows = reader.line_num, 0
     while lines := fh.readlines(max(READ_AHEAD_BYTES // 4, 1)):
-        text = "".join(lines)
+        text, n_lines = "".join(lines), len(lines)
         labels, values = None, None
         if '"' in text:
             lines = itertools.chain(lines, fh)
@@ -268,7 +270,8 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
             labels = None if parse_label is None else []
             cells = array("d")
             try:
-                n_dropped = _parse_rows(reader, parse_label, label_idx, n_cols, labels, cells)
+                n_dropped = _parse_rows(reader, n_lines, parse_label, label_idx, n_cols, labels,
+                                        cells)
             except csv.Error as exc:
                 raise ValueError(f"{path}: line {line + reader.line_num}: {exc}") from None
             line += reader.line_num

@@ -484,6 +484,16 @@ def bernoulli_trained(tmp_path, config_path):
     return out
 
 
+@pytest.fixture
+def lag0_trained(tmp_path):
+    """A lag-0 Gaussian model: energy carries no rows from call to call."""
+    config = tmp_path / "lag0.txt"
+    config.write_text("epochs=3\nn_hidden=6\nlag=0\nn_chains=8\nbatch_size=32\n")
+    out = tmp_path / "lag0"
+    assert run(*train_args(out, config)) == 0
+    return out
+
+
 class TestEnergyStream:
     """energy reads, scores, flags and writes a block at a time; the bytes and
     lines it writes do not depend on the block size or on the input order."""
@@ -514,14 +524,15 @@ class TestEnergyStream:
     # lines are 70 to 80 bytes, so read-ahead hints of 1 and 160 bytes read
     # blocks of 1 and 2 or 3 lines, scored a score_rows block (4 bytes) or a
     # few at a time; the flag window spans several. score_rows blocks of 7
-    # and 197 rows leave a last block of 2 and of 1 of the 198 scored rows.
+    # and 197 rows leave a last block of 2 and of 1 of the 198 rows a lag-2
+    # model scores, and of 4 and 3 of the 200 a lag-0 model does.
     @pytest.mark.parametrize("score_block", [7, 197])
     @pytest.mark.parametrize("read_ahead", [4, 640])
-    @pytest.mark.parametrize("arch", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("arch", ["gaussian", "bernoulli", "gaussian_lag0"])
     def test_block_size_does_not_change_output(self, request, tmp_path, capsys, monkeypatch,
                                                arch, read_ahead, score_block):
-        model = request.getfixturevalue("trained" if arch == "gaussian"
-                                        else "bernoulli_trained")
+        model = request.getfixturevalue({"gaussian": "trained", "bernoulli": "bernoulli_trained",
+                                         "gaussian_lag0": "lag0_trained"}[arch])
         # the blocks of the one score_rows call that the stream must match
         self.score_blocks_of(monkeypatch, score_block)
         path = with_gauge(tmp_path / "in.csv", FIXTURE.read_text().splitlines())
@@ -533,7 +544,7 @@ class TestEnergyStream:
         monkeypatch.setattr(dynamics, "score_rows",
                             lambda v, w, m: calls.append(v.shape[0]) or score_rows(v, w, m))
         assert self.energy(model, path, tmp_path / "blocks") == 0
-        assert len(calls) > 1 and sum(calls) == 198
+        assert len(calls) > 1 and sum(calls) == (200 if arch == "gaussian_lag0" else 198)
         assert all(n % score_block == 0 for n in calls[:-1])
         assert capsys.readouterr().out.replace("blocks", "OUT") == whole
         assert self.outputs(tmp_path / "blocks") == self.outputs(tmp_path / "whole")
@@ -632,6 +643,23 @@ class TestEnergyStream:
             "error: input asset columns ['EQ', 'BONDS', 'FX'] do not match "
             "the model's ['EQ', 'RATES', 'FX']\n")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_free_energy_is_an_error(self, trained, tmp_path, capsys, monkeypatch):
+        # a cell far outside the fitted range overflows the visible term; no
+        # numpy warning may escape, and no output may be left behind
+        lines = FIXTURE.read_text().splitlines()
+        date, *cells = lines[150].split(",")
+        lines[150] = ",".join([date, "1e308", *cells[1:]])
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n")
+        self.small_blocks(monkeypatch, 400)
+        self.score_blocks_of(monkeypatch, 7)
+        capsys.readouterr()
+        assert run("energy", "--model", trained / "model.crbm", "--input", path,
+                   "--output-dir", tmp_path / "new" / "en") == 1
+        assert capsys.readouterr() == ("", f"error: free energy is not finite at {date}\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in.csv", "out"]
 
     def test_error_keeps_a_directory_the_run_did_not_make(self, trained, tmp_path):
         path = tmp_path / "in.csv"

@@ -511,6 +511,24 @@ class TestStreamingRead:
         assert table.values[-1, 0] == 19_999.5
         assert peak < 2**20
 
+    def test_quoted_cell_ends_its_block_at_the_end_of_its_row(self, tmp_path, monkeypatch):
+        # every 7th row has a cell quoted across two lines, so some of them
+        # span the end of a block; none may make the rest of the file a block
+        path = tmp_path / "quoted.csv"
+        write_dated_csv(path, np.random.default_rng(10).normal(size=(400, 2)))
+        header, *rows = path.read_text().splitlines()
+        for i in range(0, len(rows), 7):
+            date_cell, a, b = rows[i].split(",")
+            rows[i] = f'{date_cell},"{a}\n",{b}'
+        path.write_text("\n".join([header, *rows]) + "\n")
+        dates, values, _, n_dropped = naive_read_rows(path, data._iso_date, "date")
+        assert len(dates) == 400 and n_dropped == 0
+        monkeypatch.setattr(data, "READ_AHEAD_BYTES", 400)  # blocks of 2 to 4 lines
+        names, *blocks = ingest_blocks(path)
+        assert names == ["A0", "A1"] and max(len(d) for d, _ in blocks) <= 4
+        assert [d for block_dates, _ in blocks for d in block_dates] == dates
+        assert np.concatenate([v for _, v in blocks]).tobytes() == values.tobytes()
+
 
 CLEAN_CELL = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-999, 999).map(str))
 NON_FINITE_CELL = st.sampled_from(["inf", "-inf", "nan", "-nan", "1e400", "-1e400"])
