@@ -82,6 +82,7 @@ def _build_train_config(args) -> training.TrainConfig:
 def cmd_train(args) -> int:
     cfg = _build_train_config(args)
     series = data.ingest_csv(args.input, date_column=args.date_column)
+    model_io.check_storable(cfg.seed, series.asset_names)
     train_split = (series if args.split_date is None
                    else data.chrono_split(series, args.split_date)[0])
     if args.arch == ARCH_BERNOULLI:

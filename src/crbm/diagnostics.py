@@ -95,9 +95,10 @@ def regime_flags(total: np.ndarray, window: int = FLAG_WINDOW,
     step = max(1, READ_AHEAD_BYTES // (8 * window))
     for start in range(0, prior.shape[0], step):
         block = prior[start:start + step]
-        cutoff = block.mean(axis=1) + threshold * block.std(axis=1)
-        # threshold=inf with a zero std makes the cutoff NaN; treat as no flag
-        with np.errstate(invalid="ignore"):
+        # a huge finite score overflows the std to inf, and threshold=inf with
+        # a zero std makes the cutoff NaN; either way the row is not flagged
+        with np.errstate(over="ignore", invalid="ignore"):
+            cutoff = block.mean(axis=1) + threshold * block.std(axis=1)
             scored_flags[start:start + step] = scored[start:start + step] > cutoff
     return flags
 

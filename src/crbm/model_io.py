@@ -54,10 +54,23 @@ class ModelFile:
             raise ValueError("codec and asset name counts differ")
         if self.params.n_visible != n_assets * per_asset:
             raise ValueError("model width does not match codec output width")
+        check_storable(self.seed, self.asset_names)
 
     @property
     def n_assets(self) -> int:
         return len(self.asset_names)
+
+
+def check_storable(seed: int, asset_names) -> None:
+    """Refuse a seed or an asset name that the model file's fields cannot hold."""
+    if not -2**63 <= seed < 2**63:
+        raise ValueError(f"seed {seed} does not fit the model file's signed 64-bit "
+                         f"field ({-2**63} to {2**63 - 1})")
+    for name in asset_names:
+        size = len(str(name).encode("utf-8"))
+        if size > 0xFFFF:
+            raise ValueError(f"asset name {str(name)[:20]!r}... has {size} UTF-8 bytes; "
+                             "a model file holds at most 65535")
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
@@ -96,104 +109,95 @@ def save_model(mf: ModelFile, path) -> None:
         fh.write(b"".join(parts))
 
 
-def _refuse_beyond_end(fh, sizes) -> None:
-    """Refuse consecutive reads of ``sizes`` bytes that would pass the end
-    of the file, before anything is read or allocated.
+class _Reader:
+    """A regular model file and its bytes left, counted from one fstat: a
+    read past the end, whose size a forged header may set, is refused before
+    anything is read or allocated."""
 
-    Sizes come from the file itself, so this keeps a forged header from
-    asking for an allocation the file cannot back.
-    """
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    for n in sizes:
-        if n > remaining:
-            raise ValueError(f"truncated model file: {n} bytes declared, {remaining} left")
-        remaining -= n
+    def __init__(self, fh, path):
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        self.fh, self.left = fh, st.st_size
 
+    def refuse_beyond_end(self, *sizes) -> None:
+        """Refuse consecutive reads of ``sizes`` bytes that would pass the end."""
+        left = self.left
+        for n in sizes:
+            if n > left:
+                raise ValueError(f"truncated model file: {n} bytes declared, {left} left")
+            left -= n
 
-def _read_exact(fh, n: int) -> bytes:
-    """Read n bytes, refusing sizes beyond the end of the file before reading."""
-    _refuse_beyond_end(fh, [n])
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("truncated model file")
-    return data
+    def exact(self, n: int) -> bytes:
+        self.refuse_beyond_end(n)
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise ValueError("truncated model file")
+        self.left -= n
+        return data
 
+    def unpack(self, fmt: str):
+        values = struct.unpack(fmt, self.exact(struct.calcsize(fmt)))
+        return values[0] if len(values) == 1 else values
 
-def _read_struct(fh, fmt: str):
-    values = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
-    return values[0] if len(values) == 1 else values
+    def array(self, *shape) -> np.ndarray:
+        """A read-only view of the next float64 values in the file."""
+        return np.frombuffer(self.exact(8 * math.prod(shape)), dtype="<f8").reshape(shape)
 
+    def into(self, dest: np.ndarray) -> None:
+        """Fill the rows of the 2-D float64 view ``dest`` with the next values,
+        READ_AHEAD_BYTES of rows at a time: no copy of the whole array exists."""
+        step = max(1, READ_AHEAD_BYTES // (8 * dest.shape[1]))
+        for start in range(0, dest.shape[0], step):
+            block = dest[start:start + step]
+            block[...] = self.array(*block.shape)
 
-def _read_array(fh, shape) -> np.ndarray:
-    """A read-only view of the next float64 values in the file."""
-    count = math.prod(shape) if isinstance(shape, tuple) else shape
-    return np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").reshape(shape)
-
-
-def _read_copy(fh, count: int) -> np.ndarray:
-    """A writable native float64 copy of the next count values."""
-    return _read_array(fh, count).astype(np.float64)
-
-
-def _read_into(fh, dest: np.ndarray) -> None:
-    """Fill the rows of the 2-D float64 view ``dest`` with the next values,
-    READ_AHEAD_BYTES of rows at a time: no copy of the whole array exists."""
-    step = max(1, READ_AHEAD_BYTES // (8 * dest.shape[1]))
-    for start in range(0, dest.shape[0], step):
-        block = dest[start:start + step]
-        block[...] = _read_array(fh, block.shape)
-
-
-def _read_str(fh, width: str) -> str:
-    length = _read_struct(fh, f"<{width}")
-    return _read_exact(fh, length).decode("utf-8")
+    def text(self, width: str) -> str:
+        return self.exact(self.unpack(f"<{width}")).decode("utf-8")
 
 
 def load_model(path) -> ModelFile:
     with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise ValueError(f"{path}: not a regular file")
-        if _read_exact(fh, 4) != MAGIC:
+        r = _Reader(fh, path)
+        if r.exact(4) != MAGIC:
             raise ValueError(f"{path}: not a model file (bad magic)")
-        version = _read_struct(fh, "<I")
+        version = r.unpack("<I")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported model format version {version}")
-        arch_code = _read_struct(fh, "<B")
+        arch_code = r.unpack("<B")
         if arch_code not in _ARCH_NAME:
             raise ValueError(f"{path}: unknown architecture code {arch_code}")
         arch = _ARCH_NAME[arch_code]
-        n_assets, n_visible, n_hidden, lag = _read_struct(fh, "<IIII")
-        seed = _read_struct(fh, "<q")
-        asset_names = [_read_str(fh, "H") for _ in range(n_assets)]
-        codec_code = _read_struct(fh, "<B")
+        n_assets, n_visible, n_hidden, lag = r.unpack("<IIII")
+        seed = r.unpack("<q")
+        asset_names = [r.text("H") for _ in range(n_assets)]
+        codec_code = r.unpack("<B")
         if codec_code == _CODEC_BINARY:
-            bits = _read_struct(fh, "<I")
-            codec = BinaryCodec(minimum=_read_copy(fh, n_assets),
-                                maximum=_read_copy(fh, n_assets),
-                                bits_per_asset=bits)
+            bits = r.unpack("<I")
+            codec = BinaryCodec(minimum=r.array(n_assets).copy(),
+                                maximum=r.array(n_assets).copy(), bits_per_asset=bits)
         elif codec_code == _CODEC_ZSCORE:
-            codec = ZScoreParams(mu=_read_copy(fh, n_assets),
-                                 sigma=_read_copy(fh, n_assets))
+            codec = ZScoreParams(mu=r.array(n_assets).copy(), sigma=r.array(n_assets).copy())
         else:
             raise ValueError(f"{path}: unknown codec code {codec_code}")
         nv, nh, window = n_visible, n_hidden, lag * n_visible
         # a, b, the reserved slot, W, A and B, in file order
-        _refuse_beyond_end(fh, [8 * n for n in (nv, nh, nv, nv * nh, window * nv, window * nh)])
+        r.refuse_beyond_end(*(8 * n for n in (nv, nh, nv, nv * nh, window * nv, window * nh)))
         # zero-stride zeros give the model its shapes, and the file's values
         # then go straight into its buffer: each parameter is held once
         W, a, b, A, B = (np.broadcast_to(0.0, shape) for shape in
                          ((nv, nh), (nv,), (nh,), (window, nv), (window, nh)))
         params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
-        _read_into(fh, params.C[:1])  # a | b
-        if np.any(_read_array(fh, nv) != 1.0):
+        r.into(params.C[:1])  # a | b
+        if np.any(r.array(nv) != 1.0):
             raise ValueError(f"{path}: reserved sigma slot must hold ones")
         for dest in (params.W, params.A, params.B):
-            _read_into(fh, dest)
+            r.into(dest)
         name = params.non_finite()
         if name is not None:
             raise ValueError(f"{path}: non-finite entries in {name}")
-        seed_window = _read_copy(fh, window)
-        config_text = _read_str(fh, "I")
+        seed_window = r.array(window).copy()
+        config_text = r.text("I")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after model payload")
     return ModelFile(params=params, codec=codec, asset_names=asset_names,

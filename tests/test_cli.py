@@ -157,6 +157,29 @@ class TestTrain:
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["seed", "name"])
+    def test_value_the_model_file_cannot_hold_is_refused_before_training(
+            self, tmp_path, config_path, capsys, monkeypatch, case):
+        def never(*args, **kwargs):
+            raise AssertionError("training.train was called")
+        monkeypatch.setattr(cli.training, "train", never)
+        out = tmp_path / "out"
+        args = train_args(out, config_path)
+        if case == "seed":
+            args[args.index("--seed") + 1] = "99999999999999999999"
+            expected = ("error: seed 99999999999999999999 does not fit the model file's "
+                        "signed 64-bit field (-9223372036854775808 to 9223372036854775807)\n")
+        else:
+            lines = FIXTURE.read_text().splitlines(keepends=True)
+            path = tmp_path / "long.csv"
+            path.write_text("date,EQ," + "R" * 70_000 + ",FX\n" + "".join(lines[1:]))
+            args[args.index("--input") + 1] = path
+            expected = ("error: asset name 'RRRRRRRRRRRRRRRRRRRR'... has 70000 UTF-8 bytes; "
+                        "a model file holds at most 65535\n")
+        assert run(*args) == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_bernoulli_arch_with_bits(self, tmp_path, config_path):
         out = tmp_path / "out"
         args = ["train", "--input", FIXTURE, "--arch", "bernoulli", "--seed",
@@ -660,6 +683,24 @@ class TestEnergyStream:
                    "--output-dir", tmp_path / "new" / "en") == 1
         assert capsys.readouterr() == ("", f"error: free energy is not finite at {date}\n")
         assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in.csv", "out"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_free_energy_flags_without_a_warning(self, trained, tmp_path, capsys):
+        # a 1e100 cell gives a finite total near 5e198, whose square in the
+        # flag windows that hold it overflows: those rows stay unflagged
+        lines = FIXTURE.read_text().splitlines()
+        date, *cells = lines[150].split(",")
+        lines[150] = ",".join([date, "1e100", *cells[1:]])
+        path, out = tmp_path / "in.csv", tmp_path / "en"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("energy", "--model", trained / "model.crbm", "--input", path,
+                   "--output-dir", out, "--flag-window", "20") == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out / "free_energy.csv")
+        at = next(i for i, r in enumerate(rows) if float(r["total"]) > 1e190)
+        assert rows[at]["date"] == date and rows[at]["flag"] == "1"
+        assert {r["flag"] for r in rows[at + 1:at + 21]} == {"0"}
 
     def test_error_keeps_a_directory_the_run_did_not_make(self, trained, tmp_path):
         path = tmp_path / "in.csv"

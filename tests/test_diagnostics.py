@@ -159,6 +159,14 @@ class TestRegimeFlags:
         flags = regime_flags(total, window=10, threshold=4.0)
         assert flags[30] and flags.sum() == 1
 
+    def test_huge_finite_score_flags_without_a_warning(self):
+        # squaring a total near 1e198 overflows the std of every window that
+        # holds it: those rows stay unflagged, and no RuntimeWarning escapes
+        total = np.random.default_rng(115).normal(size=100)
+        total[50] = 5e198
+        flags = regime_flags(total, window=10, threshold=4.0)
+        assert np.flatnonzero(flags).tolist() == [50]
+
     def test_first_window_rows_unflagged(self):
         total = np.concatenate([np.full(5, 100.0), np.zeros(20)])
         flags = regime_flags(total, window=5, threshold=0.5)

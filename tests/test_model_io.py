@@ -222,6 +222,16 @@ class TestModelFileValidation:
             ModelFile(params=m, codec=codec, asset_names=["a", "b"], seed=0,
                       seed_window=np.zeros(0))
 
+    @pytest.mark.parametrize("seed, name, match", [
+        (2**63, "x", "seed 9223372036854775808 does not fit"),
+        (-2**63 - 1, "x", "seed -9223372036854775809 does not fit"),
+        (0, "\u00e9" * 32768, "has 65536 UTF-8 bytes; a model file holds at most 65535")])
+    def test_values_the_file_cannot_hold(self, seed, name, match):
+        mf = bernoulli_file(np.random.default_rng(209))
+        with pytest.raises(ValueError, match=match):
+            ModelFile(params=mf.params, codec=mf.codec, asset_names=["u", name], seed=seed,
+                      seed_window=mf.seed_window)
+
     def test_width_consistency(self):
         rng = np.random.default_rng(208)
         m = random_bernoulli_model(rng, 5, 2, lag=0)  # 5 != 2 assets * 3 bits
@@ -229,3 +239,51 @@ class TestModelFileValidation:
         with pytest.raises(ValueError, match="width"):
             ModelFile(params=m, codec=codec, asset_names=["a", "b"], seed=0,
                       seed_window=np.zeros(0))
+
+
+def small_gaussian_file(rng):
+    m = random_gaussian_model(rng, 2, 2, lag=1)
+    m.A, m.B = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    return ModelFile(params=m, codec=ZScoreParams(rng.normal(size=2), rng.uniform(0.5, 2.0, 2)),
+                     asset_names=["x", "été"], seed=11,
+                     seed_window=rng.normal(size=2), config_text="seed=11\n")
+
+
+def small_bernoulli_file(rng):
+    m = random_bernoulli_model(rng, 2, 2, lag=1)
+    m.A, m.B = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    return ModelFile(params=m, codec=BinaryCodec([-1.0, 0.0], [1.0, 2.0], bits_per_asset=1),
+                     asset_names=["u", "v"], seed=-4, seed_window=np.array([1.0, 0.0]))
+
+
+def hostile_variants(blob):
+    """Every prefix of a model file, the file plus one byte, and every
+    single-bit flip of it."""
+    for end in range(len(blob)):
+        yield blob[:end]
+    yield blob + b"\x00"
+    for i in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << (i % 8)
+        yield bytes(flipped)
+
+
+@pytest.mark.parametrize("make", [small_gaussian_file, small_bernoulli_file])
+def test_every_truncation_and_bit_flip_is_refused_or_round_trips(tmp_path, make):
+    # a damaged file is one ValueError line or a model that saves back to
+    # the same bytes: nothing in between, and no other exception
+    path, again = tmp_path / "m.crbm", tmp_path / "again.crbm"
+    save_model(make(np.random.default_rng(214)), path)
+    original, refused, loaded = path.read_bytes(), 0, 0
+    for blob in hostile_variants(original):
+        path.write_bytes(blob)
+        try:
+            mf = load_model(path)
+        except ValueError as err:
+            assert "\n" not in str(err)
+            refused += 1
+            continue
+        save_model(mf, again)
+        assert again.read_bytes() == blob
+        loaded += 1
+    assert refused > len(original) and loaded > 0
