@@ -157,7 +157,8 @@ def _overlay_index(names, args, mf):
 
 
 def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tuple:
-    """Score, flag and write the rows of ``(dates, values)`` blocks in date order.
+    """Score, flag and write the rows of ``(dates, values, n_dropped)`` blocks
+    in date order.
 
     Encoded rows are carried until a call's worth is: a whole number of
     score_rows' blocks (dynamics.score_block), about READ_AHEAD_BYTES. A
@@ -166,22 +167,23 @@ def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tup
     and each row's bits, are those of one call over the whole input.
     ``overlay`` is the index of a value column that passes through, or None.
     File i gets the first ``len(headers[i])`` columns. Returns (rows scored,
-    rows flagged, cells clipped). Raises ValueError at the first row whose
-    free energy is not finite.
+    rows flagged, cells clipped, input rows dropped). Raises ValueError at
+    the first row whose free energy is not finite.
     """
     m, names = mf.params, list(mf.asset_names)
     step = dynamics.score_block(m)
     call = step * max(READ_AHEAD_BYTES // (8 * m.n_visible * step), 1)
     # carried to the next call: encoded rows (its first window's lag first), dates, overlay values
     rows, dates, gauge, totals = np.empty((0, m.n_visible)), [], np.empty(0), np.empty(0)
-    n_scored = n_flagged = n_clipped = 0
+    n_scored = n_flagged = n_clipped = n_dropped = 0
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
                  for path in paths]
         for fh, header in zip(files, headers):
             fh.write(",".join(map(_quote, header)) + "\r\n")
-        for block_dates, values in itertools.chain(blocks, [(None, None)]):  # None: what is left
-            if values is not None:
+        for block_dates, values, dropped in itertools.chain(blocks, [(None, None, 0)]):
+            n_dropped += dropped
+            if values is not None:  # None: score what is left
                 if overlay is not None:
                     gauge = np.concatenate([gauge, values[:, overlay]])
                     values = np.delete(values, overlay, axis=1)
@@ -209,7 +211,7 @@ def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tup
                 rows, dates, gauge = rows[n:], dates[n:], gauge[n:]
     if not n_scored:
         raise ValueError(f"need more than lag={m.lag} rows, got {len(rows)}")
-    return n_scored, n_flagged, n_clipped
+    return n_scored, n_flagged, n_clipped, n_dropped
 
 
 def cmd_energy(args) -> int:
@@ -235,8 +237,8 @@ def cmd_energy(args) -> int:
                 series = data.ingest_csv(args.input, date_column=args.date_column)
                 # read again: check its columns again
                 overlay = _overlay_index(series.asset_names, args, mf)
-                counts = _score_blocks(parts, headers, [(series.dates, series.values)], *rule,
-                                       overlay)
+                whole = [(series.dates, series.values, series.n_dropped)]
+                counts = _score_blocks(parts, headers, whole, *rule, overlay)
             for part, path in zip(parts, paths):
                 os.replace(part, path)
         except BaseException:
@@ -247,7 +249,9 @@ def cmd_energy(args) -> int:
                 for directory in made:
                     os.rmdir(directory)
             raise
-    n_scored, n_flagged, n_clipped = counts
+    n_scored, n_flagged, n_clipped, n_dropped = counts
+    if n_dropped:
+        print(f"dropped {n_dropped} malformed input row(s)")
     if n_clipped:
         print(f"clipped {n_clipped} cell(s) to the model's fitted range")
     if args.flag_window >= n_scored:
@@ -285,11 +289,13 @@ def cmd_stats(args) -> int:
     # names, sizes). Every check runs before the output directory is made.
     table = data.read_values_csv(args.real)
     names, n_rows = table.asset_names, table.values.shape[0]
+    dropped = [(args.real, table.n_dropped)]
     if _stats_size_error(args.qq_quantiles, n_rows) is None:
         levels = diagnostics._qq_levels(args.qq_quantiles)
         real, real_qq = diagnostics._summarize(table.values, names, levels)
     del table
     table = data.read_values_csv(args.synthetic)
+    dropped.append((args.synthetic, table.n_dropped))
     if table.asset_names != names:
         raise ValueError(f"asset columns differ: real has {names}, "
                          f"synthetic has {table.asset_names}")
@@ -330,6 +336,9 @@ def cmd_stats(args) -> int:
                 [name for _ in series for name in names for _ in lags],
                 np.tile(lags, len(series) * len(names)),
                 np.concatenate([s.sq_autocorr.T.ravel() for s in stats])])
+    for path, n_dropped in dropped:
+        if n_dropped:
+            print(f"dropped {n_dropped} malformed input row(s) from {path}")
     print(f"correlation fidelity score: {fidelity.score!r}")
     print(f"wrote fidelity CSVs to {args.output_dir}")
     return 0

@@ -383,8 +383,9 @@ class DatesNotAscending(Exception):
 def ingest_blocks(path, date_column: str | None = None):
     """Read a dated multi-asset CSV a block at a time, in file order.
 
-    Yields the asset names, then ``(dates, values)`` for each block of one
-    or more rows, read and dropped by ingest_csv's rules. Raises
+    Yields the asset names, then ``(dates, values, n_dropped)`` for each
+    block, read and dropped by ingest_csv's rules; a block may have no rows
+    and ``n_dropped`` counts the rows it dropped. Raises
     DatesNotAscending at the first date that does not strictly ascend,
     within a block or across blocks; ingest_csv then reads and sorts the
     file. Input that cannot seek, such as a pipe, cannot be read again, so
@@ -394,19 +395,18 @@ def ingest_blocks(path, date_column: str | None = None):
         if not fh.seekable():
             series = _ingest(path, fh, date_column)
             yield series.asset_names
-            yield series.dates, series.values
+            yield series.dates, series.values, series.n_dropped
             return
         blocks = _read_blocks(path, fh, _iso_date, "date", date_column)
         yield next(blocks)
         last = None
-        for dates, values, _ in blocks:
-            if not dates:
-                continue
-            if ((last is not None and dates[0] <= last)
-                    or not all(map(operator.lt, dates, dates[1:]))):
-                raise DatesNotAscending(path)
-            last = dates[-1]
-            yield dates, values
+        for dates, values, n_dropped in blocks:
+            if dates:
+                if ((last is not None and dates[0] <= last)
+                        or not all(map(operator.lt, dates, dates[1:]))):
+                    raise DatesNotAscending(path)
+                last = dates[-1]
+            yield dates, values, n_dropped
 
 
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:

@@ -114,10 +114,10 @@ class _Reader:
     read past the end, whose size a forged header may set, is refused before
     anything is read or allocated."""
 
-    def __init__(self, fh, path):
+    def __init__(self, fh):
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):
-            raise ValueError(f"{path}: not a regular file")
+            raise ValueError("not a regular file")
         self.fh, self.left = fh, st.st_size
 
     def refuse_beyond_end(self, *sizes) -> None:
@@ -157,48 +157,57 @@ class _Reader:
 
 
 def load_model(path) -> ModelFile:
-    with open(path, "rb") as fh:
-        r = _Reader(fh, path)
-        if r.exact(4) != MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic)")
-        version = r.unpack("<I")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version {version}")
-        arch_code = r.unpack("<B")
-        if arch_code not in _ARCH_NAME:
-            raise ValueError(f"{path}: unknown architecture code {arch_code}")
-        arch = _ARCH_NAME[arch_code]
-        n_assets, n_visible, n_hidden, lag = r.unpack("<IIII")
-        seed = r.unpack("<q")
-        asset_names = [r.text("H") for _ in range(n_assets)]
-        codec_code = r.unpack("<B")
-        if codec_code == _CODEC_BINARY:
-            bits = r.unpack("<I")
-            codec = BinaryCodec(minimum=r.array(n_assets).copy(),
-                                maximum=r.array(n_assets).copy(), bits_per_asset=bits)
-        elif codec_code == _CODEC_ZSCORE:
-            codec = ZScoreParams(mu=r.array(n_assets).copy(), sigma=r.array(n_assets).copy())
-        else:
-            raise ValueError(f"{path}: unknown codec code {codec_code}")
-        nv, nh, window = n_visible, n_hidden, lag * n_visible
-        # a, b, the reserved slot, W, A and B, in file order
-        r.refuse_beyond_end(*(8 * n for n in (nv, nh, nv, nv * nh, window * nv, window * nh)))
-        # zero-stride zeros give the model its shapes, and the file's values
-        # then go straight into its buffer: each parameter is held once
-        W, a, b, A, B = (np.broadcast_to(0.0, shape) for shape in
-                         ((nv, nh), (nv,), (nh,), (window, nv), (window, nh)))
-        params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
-        r.into(params.C[:1])  # a | b
-        if np.any(r.array(nv) != 1.0):
-            raise ValueError(f"{path}: reserved sigma slot must hold ones")
-        for dest in (params.W, params.A, params.B):
-            r.into(dest)
-        name = params.non_finite()
-        if name is not None:
-            raise ValueError(f"{path}: non-finite entries in {name}")
-        seed_window = r.array(window).copy()
-        config_text = r.text("I")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after model payload")
+    """Read the model file at ``path``. A ValueError, for a file that is not a
+    model file or is damaged, is one line that starts with ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_model(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_model(fh) -> ModelFile:
+    r = _Reader(fh)
+    if r.exact(4) != MAGIC:
+        raise ValueError("not a model file (bad magic)")
+    version = r.unpack("<I")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version}")
+    arch_code = r.unpack("<B")
+    if arch_code not in _ARCH_NAME:
+        raise ValueError(f"unknown architecture code {arch_code}")
+    arch = _ARCH_NAME[arch_code]
+    n_assets, n_visible, n_hidden, lag = r.unpack("<IIII")
+    seed = r.unpack("<q")
+    asset_names = [r.text("H") for _ in range(n_assets)]
+    codec_code = r.unpack("<B")
+    if codec_code == _CODEC_BINARY:
+        bits = r.unpack("<I")
+        codec = BinaryCodec(minimum=r.array(n_assets).copy(),
+                            maximum=r.array(n_assets).copy(), bits_per_asset=bits)
+    elif codec_code == _CODEC_ZSCORE:
+        codec = ZScoreParams(mu=r.array(n_assets).copy(), sigma=r.array(n_assets).copy())
+    else:
+        raise ValueError(f"unknown codec code {codec_code}")
+    nv, nh, window = n_visible, n_hidden, lag * n_visible
+    # a, b, the reserved slot, W, A and B, in file order
+    r.refuse_beyond_end(*(8 * n for n in (nv, nh, nv, nv * nh, window * nv, window * nh)))
+    # zero-stride zeros give the model its shapes, and the file's values
+    # then go straight into its buffer: each parameter is held once
+    W, a, b, A, B = (np.broadcast_to(0.0, shape) for shape in
+                     ((nv, nh), (nv,), (nh,), (window, nv), (window, nh)))
+    params = ModelParams(W=W, a=a, b=b, arch=arch, A=A, B=B, lag=lag)
+    r.into(params.C[:1])  # a | b
+    if np.any(r.array(nv) != 1.0):
+        raise ValueError("reserved sigma slot must hold ones")
+    for dest in (params.W, params.A, params.B):
+        r.into(dest)
+    name = params.non_finite()
+    if name is not None:
+        raise ValueError(f"non-finite entries in {name}")
+    seed_window = r.array(window).copy()
+    config_text = r.text("I")
+    if fh.read(1):
+        raise ValueError("trailing bytes after model payload")
     return ModelFile(params=params, codec=codec, asset_names=asset_names,
                      seed=seed, seed_window=seed_window, config_text=config_text)

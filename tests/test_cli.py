@@ -3,6 +3,7 @@
 import csv
 import importlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from crbm.cli import main
 from crbm.data import BinaryCodec, ZScoreParams
 from crbm.model import sweep_width
 from crbm.model_io import ModelFile, load_model, save_model
+from crbm.training import TrainConfig
 from helpers import random_bernoulli_model, random_gaussian_model, runaway_gaussian_model, \
     piped, write_dated_csv, write_forged_model, write_model_with_slot, write_model_without_hidden
 
@@ -36,6 +38,33 @@ def python(*argv):
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def loaded(stderr, module):
+    """Whether a ``python -v`` run loaded ``module``. ``-v`` lists a module
+    once it is loaded; ``-X importtime`` lists blocked imports too."""
+    return f"import {module!r} " in stderr
+
+
+def script_argv():
+    """Interpreter arguments that run pyproject.toml's ``crbm`` script target
+    as the installed script does."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, function = re.search(r'^crbm = "([\w.]+):(\w+)"$', section, re.MULTILINE).groups()
+    return ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+def with_bad_rows(path):
+    """Write the fixture with a ``nan`` cell in one row and an ``abc`` cell in
+    another: 198 rows are read and 2 dropped."""
+    header, *rows = FIXTURE.read_text().splitlines()
+    for i, j, cell in ((3, 1, "nan"), (8, 2, "abc")):
+        cells = rows[i].split(",")
+        cells[j] = cell
+        rows[i] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
 
 
 def train_args(out_dir, config, extra=()):
@@ -104,6 +133,21 @@ class TestTrain:
         out = tmp_path / "out"
         assert run(*train_args(out, config_path, ["--lag", "1"])) == 0
         assert load_model(out / "model.crbm").params.lag == 1
+
+    def test_lag_flag_without_a_config_file(self):
+        args = cli.build_parser().parse_args(["train", "--input", "in.csv", "--arch", "gaussian",
+                                              "--seed", "3", "--output-dir", "o", "--lag", "4"])
+        assert TrainConfig(seed=3).lag != 4
+        assert cli._build_train_config(args) == TrainConfig(seed=3, lag=4)
+
+    def test_dropped_rows_are_reported(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("train", "--input", with_bad_rows(tmp_path / "bad.csv"), "--arch", "gaussian",
+                   "--seed", "5", "--output-dir", out, "--config", config_path) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "dropped 2 malformed input row(s)",
+            f"trained on 198 rows; wrote {out / 'model.crbm'} and {out / 'train_report.csv'}"]
 
     def test_infinite_learning_rate_is_a_one_line_config_error(self, tmp_path, config_path,
                                                                 capsys):
@@ -230,7 +274,8 @@ class TestGenerate:
                    "--seed", "1", "--output-dir", tmp_path / "out")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: truncated model file") and err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'forged.crbm'}: truncated model file")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_sigma_other_than_one_is_a_one_line_error(self, tmp_path, capsys):
@@ -324,14 +369,48 @@ class TestStartup:
     ])
     def test_only_sampling_commands_load_numpy_random(self, trained, tmp_path, command,
                                                       samples):
-        # numpy.random brings secrets, hmac and OpenSSL: about 6 MiB of RSS
+        # numpy.random adds about 2.8 MiB of peak RSS, and the OpenSSL that
+        # its secrets and hmac load 3.4 MiB more; a library process such as
+        # this one loads both, the crbm program no OpenSSL
         argv = [str(a).format(model=trained / "model.crbm", out=tmp_path / "o")
                 for a in command]
         proc = python("-c", "import sys, crbm.cli; "
                             "code = crbm.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-                            "print(code, 'numpy.random' in sys.modules)", *argv)
+                            "print(code, 'numpy.random' in sys.modules, "
+                            "sys.modules.get('_hashlib') is not None)", *argv)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 {samples}"
+        assert proc.stdout.splitlines()[-1] == f"0 {samples} {samples}"
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_program_loads_no_openssl_and_writes_what_main_writes(self, tmp_path, config_path,
+                                                                  entry):
+        program = ["-m", "crbm"] if entry == "module" else script_argv()
+
+        def commands(out):
+            return [train_args(out, config_path),
+                    ["generate", "--model", out / "model.crbm", "--steps", "20", "--seed", "3",
+                     "--output-dir", out]]
+
+        for argv in commands(tmp_path / "main"):
+            assert run(*argv) == 0
+        for argv in commands(tmp_path / "program"):
+            proc = python("-v", *program, *argv)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert loaded(proc.stderr, "numpy.random") and not loaded(proc.stderr, "_hashlib")
+        for name in ("model.crbm", "train_report.csv", "synthetic.csv"):
+            want = (tmp_path / "main" / name).read_bytes()
+            assert (tmp_path / "program" / name).read_bytes() == want
+
+    def test_program_keeps_openssl_without_a_builtin_hash(self, trained, tmp_path):
+        # without _hashlib, hashlib needs every built-in hash module; it would
+        # log a traceback per algorithm that lacks one
+        proc = python("-c", "import sys; sys.modules['_md5'] = None; "
+                            "from crbm.__main__ import program; code = program(sys.argv[1:]); "
+                            "print(code, sys.modules.get('_hashlib') is not None)",
+                      "generate", "--model", trained / "model.crbm", "--steps", "5",
+                      "--seed", "1", "--output-dir", tmp_path / "o")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "0 True"
 
     @pytest.mark.parametrize("command", [
         ("energy", "--model", "{model}", "--input", FIXTURE, "--output-dir", "{out}"),
@@ -351,6 +430,7 @@ class TestStartup:
         monkeypatch.setattr(sys, "argv", ["crbm", "--no-such-flag"])
         monkeypatch.delitem(sys.modules, "crbm.__main__", raising=False)
         assert importlib.import_module("crbm.__main__").main is main
+        assert importlib.import_module("crbm.__main__").program is not main
 
 
 class TestEnergy:
@@ -365,7 +445,8 @@ class TestEnergy:
         assert run(command[0], "--model", tmp_path / "empty.crbm", *command[1:],
                    "--output-dir", out) == 1
         assert capsys.readouterr().err == (
-            "error: a model needs visible and hidden units, got 1 and 0\n")
+            f"error: {tmp_path / 'empty.crbm'}: a model needs visible and hidden units, "
+            "got 1 and 0\n")
         assert not out.exists()
 
     def test_scores_and_flags_schema(self, trained, tmp_path):
@@ -482,6 +563,20 @@ class TestEnergy:
         assert capsys.readouterr().err == ""
         assert ((tmp_path / "padded" / "free_energy.csv").read_bytes()
                 == (tmp_path / "plain" / "free_energy.csv").read_bytes())
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    def test_no_more_rows_than_the_lag_is_an_error(self, trained, tmp_path, capsys, existing):
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(FIXTURE.read_text().splitlines()[:3]) + "\n")
+        out = tmp_path / "en"
+        if existing:
+            out.mkdir()
+        capsys.readouterr()
+        assert run("energy", "--model", trained / "model.crbm", "--input", short,
+                   "--output-dir", out) == 1
+        assert capsys.readouterr() == ("", "error: need more than lag=2 rows, got 2\n")
+        # no .part file, and no directory the run made
+        assert os.listdir(out) == [] if existing else not out.exists()
 
     def test_empty_csv_errors(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -645,6 +740,24 @@ class TestEnergyStream:
         assert capsys.readouterr().out.replace(str(tmp_path / "got"), "OUT") == want
         assert self.outputs(tmp_path / "got") == self.outputs(tmp_path / "want")
 
+    @pytest.mark.parametrize("read", ["stream", "whole_file", "pipe"])
+    def test_dropped_rows_are_counted_once(self, trained, tmp_path, capsys, monkeypatch, read):
+        # an unsorted file is read twice, and only the whole-file read counts
+        header, *rows = with_bad_rows(tmp_path / "bad.csv").read_text().splitlines()
+        if read == "whole_file":
+            rows[150], rows[151] = rows[151], rows[150]
+        path = with_gauge(tmp_path / "in.csv", [header, *rows])
+        self.small_blocks(monkeypatch, 400)
+        capsys.readouterr()
+        if read == "pipe":
+            with piped(path.read_text()) as pipe:
+                assert self.energy(trained, pipe, tmp_path / "en") == 0
+        else:
+            assert self.energy(trained, path, tmp_path / "en") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "dropped 2 malformed input row(s)"
+        assert out[1].startswith("scored 196 rows") and len(out) == 2
+
     def test_columns_are_checked_again_when_the_file_is_read_again(self, trained, tmp_path,
                                                                    capsys, monkeypatch):
         # unsorted input is read twice; the file may have changed in between
@@ -797,6 +910,20 @@ class TestStats:
                    "--output-dir", tmp_path / "st") == 1
         assert capsys.readouterr().err == (
             f"error: {long}: line 3: field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("bad_real, bad_synthetic", [(True, False), (False, True),
+                                                         (True, True)])
+    def test_dropped_rows_are_reported_for_each_input(self, tmp_path, capsys, bad_real,
+                                                       bad_synthetic):
+        bad = with_bad_rows(tmp_path / "bad.csv")
+        real, synthetic = (bad if bad_real else FIXTURE), (bad if bad_synthetic else FIXTURE)
+        capsys.readouterr()
+        assert run("stats", "--real", real, "--synthetic", synthetic, "--qq-quantiles", "10",
+                   "--output-dir", tmp_path / "st") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-2] == [f"dropped 2 malformed input row(s) from {bad}"
+                              for _ in range(bad_real + bad_synthetic)]
+        assert lines[-2].startswith("correlation fidelity score: ")
 
     def test_mismatched_columns_error(self, tmp_path, capsys):
         other = tmp_path / "other.csv"

@@ -455,14 +455,26 @@ class TestPipedInput:
         with piped(dated.read_text()) as path:
             names, *blocks = ingest_blocks(path)
         assert names == want.asset_names and len(blocks) == 1
-        assert (blocks[0][0], blocks[0][1].tobytes()) == (want.dates, want.values.tobytes())
+        assert (blocks[0][0], blocks[0][1].tobytes(), blocks[0][2]) == (
+            want.dates, want.values.tobytes(), want.n_dropped)
 
     def test_blocks_of_a_file_are_its_rows(self, dated):
         want = ingest_csv(dated)
         names, *blocks = ingest_blocks(dated)
         assert names == want.asset_names and len(blocks) > 1
-        assert [d for dates, _ in blocks for d in dates] == want.dates
-        assert np.concatenate([v for _, v in blocks]).tobytes() == want.values.tobytes()
+        assert [d for dates, _, _ in blocks for d in dates] == want.dates
+        assert np.concatenate([v for _, v, _ in blocks]).tobytes() == want.values.tobytes()
+
+    def test_blocks_count_the_rows_they_drop(self, dated):
+        # 20 short bad rows in a row fill a block of their own, which still counts
+        header, *rows = dated.read_text().splitlines()
+        for i in (5, *range(100, 120), 399):
+            rows[i] = rows[i].split(",")[0] + ",x,1.0"
+        dated.write_text("\n".join([header, *rows]) + "\n")
+        assert ingest_csv(dated).n_dropped == 22
+        names, *blocks = ingest_blocks(dated)
+        assert sum(n for _, _, n in blocks) == 22
+        assert any(n and not dates for dates, _, n in blocks)
 
     def test_blocks_stop_at_a_date_out_of_order(self, dated):
         header, *rows = dated.read_text().splitlines()
@@ -472,7 +484,7 @@ class TestPipedInput:
         next(blocks)
         seen = []
         with pytest.raises(DatesNotAscending):
-            for dates, _ in blocks:
+            for dates, _, _ in blocks:
                 seen += dates
         assert 0 < len(seen) <= 300
 
@@ -525,9 +537,9 @@ class TestStreamingRead:
         assert len(dates) == 400 and n_dropped == 0
         monkeypatch.setattr(data, "READ_AHEAD_BYTES", 400)  # blocks of 2 to 4 lines
         names, *blocks = ingest_blocks(path)
-        assert names == ["A0", "A1"] and max(len(d) for d, _ in blocks) <= 4
-        assert [d for block_dates, _ in blocks for d in block_dates] == dates
-        assert np.concatenate([v for _, v in blocks]).tobytes() == values.tobytes()
+        assert names == ["A0", "A1"] and max(len(d) for d, _, _ in blocks) <= 4
+        assert [d for block_dates, _, _ in blocks for d in block_dates] == dates
+        assert np.concatenate([v for _, v, _ in blocks]).tobytes() == values.tobytes()
 
 
 CLEAN_CELL = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-999, 999).map(str))

@@ -270,8 +270,9 @@ def hostile_variants(blob):
 
 @pytest.mark.parametrize("make", [small_gaussian_file, small_bernoulli_file])
 def test_every_truncation_and_bit_flip_is_refused_or_round_trips(tmp_path, make):
-    # a damaged file is one ValueError line or a model that saves back to
-    # the same bytes: nothing in between, and no other exception
+    # a damaged file is one ValueError line that names the file once, or a
+    # model that saves back to the same bytes: nothing in between, and no
+    # other exception
     path, again = tmp_path / "m.crbm", tmp_path / "again.crbm"
     save_model(make(np.random.default_rng(214)), path)
     original, refused, loaded = path.read_bytes(), 0, 0
@@ -280,7 +281,9 @@ def test_every_truncation_and_bit_flip_is_refused_or_round_trips(tmp_path, make)
         try:
             mf = load_model(path)
         except ValueError as err:
-            assert "\n" not in str(err)
+            message = str(err)
+            assert "\n" not in message
+            assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
             refused += 1
             continue
         save_model(mf, again)
