@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import os
 import sys
+from importlib.util import find_spec
 
 import numpy as np
 
@@ -421,5 +422,26 @@ def main(argv=None) -> int:
         return 1
 
 
+# what hashlib imports in place of OpenSSL; without one of them it logs a
+# traceback per algorithm to stderr
+_BUILTIN_HASHES = ("_md5", "_sha1", "_blake2", "_sha3",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
+
+
+def program(argv=None) -> int:
+    """The ``crbm`` program: ``main(argv)`` in a process that loads no OpenSSL.
+
+    ``python -m crbm``, ``python -m crbm.cli`` and the installed ``crbm``
+    script run this. crbm hashes nothing, but ``numpy.random`` imports
+    ``secrets`` → ``hmac`` → ``_hashlib``, which maps libcrypto. Marking
+    ``_hashlib`` missing, when the built-in hash modules can stand in for
+    it, sends ``hashlib`` down CPython's no-OpenSSL path. ``main`` itself
+    has no such process-wide effect.
+    """
+    if all(map(find_spec, _BUILTIN_HASHES)):
+        sys.modules.setdefault("_hashlib", None)
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

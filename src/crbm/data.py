@@ -8,6 +8,7 @@ may fall outside the fitted range; binary encoding clips them.
 """
 
 import bisect
+import contextlib
 import csv
 import itertools
 import operator
@@ -182,12 +183,15 @@ def _parse_rows(reader, n_lines: int, parse_label, label_idx: int, n_cols: int, 
     """Append the label and cells of each csv row to ``labels`` and ``values``,
     up to the row during which the reader reaches line ``n_lines``.
 
-    A row with the wrong cell count or a label or cell that does not parse
-    is dropped; returns how many were. Non-finite cells are kept. With no
-    ``parse_label`` the label is not read and ``labels`` is not touched.
+    An empty line is skipped. A row with the wrong cell count or a label or
+    cell that does not parse is dropped; returns how many were. Non-finite
+    cells are kept. With no ``parse_label`` the label is not read and
+    ``labels`` is not touched.
     """
     n_dropped = 0
     while reader.line_num < n_lines and (row := next(reader, None)) is not None:
+        if not row:
+            continue
         if len(row) != n_cols:
             n_dropped += 1
             continue
@@ -214,8 +218,8 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     the label. With ``parse_label`` None the label is the first column, and
     it is neither parsed nor kept: ``labels`` is None. A row with the wrong
     cell count, a label or cell that does not parse, or a non-finite cell
-    is dropped and counted; so is an empty line. Raises ValueError when the
-    file holds no parseable row.
+    is dropped and counted; an empty line is skipped, and not counted.
+    Raises ValueError when the file holds no parseable row.
 
     A block is about READ_AHEAD_BYTES / 4 of lines (larger ones kept more
     RSS and were no faster), parsed with one ``np.loadtxt`` call. A block
@@ -263,7 +267,8 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
             except ValueError:
                 pass
             else:
-                n_dropped = len(lines) - values.shape[0]
+                # loadtxt skips the empty lines and drops no other
+                n_dropped = 0
                 line += len(lines)
         if values is None:
             reader = csv.reader(lines)
@@ -330,8 +335,15 @@ def _read_rows(path, fh, parse_label, label_kind: str, label_column: str | None 
     return labels, values[:n_rows], asset_names, n_dropped
 
 
-def _open_csv(path):
-    return open(path, newline="", encoding="utf-8")
+@contextlib.contextmanager
+def _open_text(path):
+    """The file at ``path`` as text; a byte that is not UTF-8 is a
+    ValueError naming the path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -359,7 +371,7 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
     Raises FileNotFoundError for a missing file and ValueError when no
     parseable rows remain or two rows share a date.
     """
-    with _open_csv(path) as fh:
+    with _open_text(path) as fh:
         return _ingest(path, fh, date_column)
 
 
@@ -391,7 +403,7 @@ def ingest_blocks(path, date_column: str | None = None):
     file. Input that cannot seek, such as a pipe, cannot be read again, so
     it is read whole and sorted by ingest_csv's rules and comes as one block.
     """
-    with _open_csv(path) as fh:
+    with _open_text(path) as fh:
         if not fh.seekable():
             series = _ingest(path, fh, date_column)
             yield series.asset_names
@@ -545,6 +557,6 @@ class TableData:
 
 def read_values_csv(path) -> TableData:
     """Read the values of a CSV of labeled numeric rows, preserving file order."""
-    with _open_csv(path) as fh:
+    with _open_text(path) as fh:
         _, values, asset_names, n_dropped = _read_rows(path, fh, None, "label")
     return TableData(values, asset_names, n_dropped)

@@ -343,10 +343,8 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
     Returns (v', h). Like every sampler here, each row reads sweep_width(m)
     consecutive uniforms, its hidden ones first, then its visible ones, and
     rows read one after another; so a batch call equals row-by-row calls on
-    the same generator and leaves it in the same state. Batch calls drew
-    other streams before this layout (all rows' hidden uniforms first);
-    single-row calls draw what they always drew. ``rng``, the generator
-    they come from, must be given by keyword.
+    the same generator and leaves it in the same state. ``rng``, the
+    generator they come from, must be given by keyword.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:

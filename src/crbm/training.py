@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import EncodedSeries
+from .data import EncodedSeries, _open_text
 from .dynamics import build_windows, score_rows
 from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ChainStreams, ModelParams, run_chains, \
     sigmoid
@@ -122,7 +122,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             return cls.from_text(fh.read(), **overrides)
 
 

@@ -157,9 +157,10 @@ def naive_read_rows(path, parse_label, label_kind: str, label_column: str | None
     """Read a headered CSV one ``csv`` row at a time under the drop rule.
 
     Returns ``(labels, values, asset_names, n_dropped)`` like
-    ``crbm.data._read_rows``: a row with the wrong cell count, a label or
-    cell that does not parse, or a non-finite cell is dropped and counted.
-    A ``csv`` error is a ValueError naming the line.
+    ``crbm.data._read_rows``: an empty line is skipped; a row with the
+    wrong cell count, a label or cell that does not parse, or a non-finite
+    cell is dropped and counted. A ``csv`` error is a ValueError naming the
+    line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -183,6 +184,8 @@ def naive_read_rows(path, parse_label, label_kind: str, label_column: str | None
         n_dropped = 0
         try:
             for row in reader:
+                if not row:
+                    continue
                 if len(row) != len(header):
                     n_dropped += 1
                     continue

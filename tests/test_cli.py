@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -67,8 +68,8 @@ def with_bad_rows(path):
     return path
 
 
-def train_args(out_dir, config, extra=()):
-    return ["train", "--input", FIXTURE, "--arch", "gaussian", "--seed", "5",
+def train_args(out_dir, config, extra=(), source=FIXTURE):
+    return ["train", "--input", source, "--arch", "gaussian", "--seed", "5",
             "--output-dir", out_dir, "--config", config, *extra]
 
 
@@ -381,10 +382,11 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"0 {samples} {samples}"
 
-    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("entry", ["module", "cli_module", "script"])
     def test_program_loads_no_openssl_and_writes_what_main_writes(self, tmp_path, config_path,
                                                                   entry):
-        program = ["-m", "crbm"] if entry == "module" else script_argv()
+        program = {"module": ["-m", "crbm"], "cli_module": ["-m", "crbm.cli"],
+                   "script": script_argv()}[entry]
 
         def commands(out):
             return [train_args(out, config_path),
@@ -429,8 +431,15 @@ class TestStartup:
         # `python -m crbm --help` itself is run by test_help_loads_no_scipy
         monkeypatch.setattr(sys, "argv", ["crbm", "--no-such-flag"])
         monkeypatch.delitem(sys.modules, "crbm.__main__", raising=False)
-        assert importlib.import_module("crbm.__main__").main is main
-        assert importlib.import_module("crbm.__main__").program is not main
+        assert importlib.import_module("crbm.__main__").program is cli.program
+
+    def test_the_package_holds_only_its_modules(self):
+        # every name has one home: the module that defines it
+        public = {name: value for name, value in vars(crbm).items()
+                  if not name.startswith("_")}
+        assert all(inspect.ismodule(value) for value in public.values()), public
+        assert {"data", "diagnostics", "dynamics", "generation", "model", "model_io",
+                "training"} <= public.keys()
 
 
 class TestEnergy:
@@ -556,7 +565,7 @@ class TestEnergy:
         assert run("energy", "--model", trained / "model.crbm", "--input", FIXTURE,
                    "--output-dir", tmp_path / "plain") == 0
         monkeypatch.setattr(data, "READ_AHEAD_BYTES", 16)
-        assert data.ingest_csv(padded).n_dropped == 40
+        assert data.ingest_csv(padded).n_dropped == 0
         capsys.readouterr()
         assert run("energy", "--model", trained / "model.crbm", "--input", padded,
                    "--output-dir", tmp_path / "padded") == 0
@@ -1014,6 +1023,40 @@ class TestStats:
 
 NAME =st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
                  st.sampled_from(['a,"b"', "", "c\nd", "e\rf", '"', " x ", "2020-01-01"]))
+
+
+class TestInputText:
+    def test_an_empty_line_is_not_a_dropped_row(self, trained, tmp_path, config_path, capsys):
+        padded = tmp_path / "padded.csv"
+        padded.write_text(FIXTURE.read_text() + "\n")
+        capsys.readouterr()
+        assert run(*train_args(tmp_path / "t", config_path, source=padded)) == 0
+        assert run("energy", "--model", trained / "model.crbm", "--input", padded,
+                   "--output-dir", tmp_path / "e") == 0
+        assert run("stats", "--real", padded, "--synthetic", padded, "--qq-quantiles", "10",
+                   "--output-dir", tmp_path / "s") == 0
+        assert "dropped" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "train_config", "energy", "stats"])
+    def test_a_file_that_is_not_utf8_is_named(self, trained, tmp_path, config_path, capsys,
+                                              command):
+        bad = tmp_path / "bad.txt"
+        source = config_path if command == "train_config" else FIXTURE
+        text = source.read_bytes()
+        cut = text.index(b"\n", len(text) // 2) + 1
+        bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        out = tmp_path / "run"
+        argv = {"train": train_args(out, config_path, source=bad),
+                "train_config": train_args(out, bad),
+                "energy": ["energy", "--model", trained / "model.crbm", "--input", bad,
+                           "--output-dir", out],
+                "stats": ["stats", "--real", FIXTURE, "--synthetic", bad,
+                          "--output-dir", out]}[command]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text (invalid start byte)\n")
+        assert not out.exists()
 
 
 class TestWriteCsv:

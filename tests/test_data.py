@@ -389,7 +389,7 @@ class TestValuesCsv:
         ("0,1.0,2.0\n1,3.0\n2,5.0,6.0\n", [[1, 2], [5, 6]], 1),
         # as many commas as three good rows: the short row must still show
         ("0,1.0,2.0\n1,3.0,4.0,9\n2,5.0\n3,7.0,8.0\n", [[1, 2], [7, 8]], 2),
-        ("0,1.0,2.0\n\n \n\t\n\r\n2,5.0,6.0\n", [[1, 2], [5, 6]], 4),
+        ("0,1.0,2.0\n\n \n\t\n\r\n2,5.0,6.0\n", [[1, 2], [5, 6]], 2),
         ('0,1.0,2.0\n"1",3.0,4.0\n2,"5.0",6.0\n', [[1, 2], [3, 4], [5, 6]], 0),
     ], ids=["trailing_comma", "short_row", "long_and_short_row", "blank_lines", "quoted"])
     def test_ragged_and_blank_lines_as_the_row_reader(self, tmp_path, rows, want, n_dropped):
