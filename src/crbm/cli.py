@@ -44,10 +44,17 @@ def _cells(column) -> list:
     return cells if _quote(text) is text else list(map(_quote, cells))
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write equal-length ``columns`` under ``header``, as csv.writer would."""
+@contextlib.contextmanager
+def _open_csv(path, header):
+    """A new CSV file at ``path`` holding the ``header`` row, open for rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
+        yield fh
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header``, as csv.writer would."""
+    with _open_csv(path, header) as fh:
         _write_rows(fh, columns)
 
 
@@ -111,33 +118,50 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _publishing(directory, paths):
+    """Make ``directory`` and yield a ``.part`` path for each of ``paths``.
+
+    On success each ``.part`` file replaces its path. On any exception,
+    Ctrl-C included, the ``.part`` files and the directories made here are
+    removed, so a failed command leaves what was there before.
+    """
+    parts = [path + ".part" for path in paths]
+    made, head = [], os.path.abspath(directory)  # deepest first
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(directory, exist_ok=True)
+    try:
+        yield parts
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
+    except BaseException:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+        with contextlib.suppress(OSError):
+            for made_dir in made:
+                os.rmdir(made_dir)
+        raise
+
+
 def cmd_generate(args) -> int:
+    # Each chunk of the rollout is decoded and written as it comes, into a
+    # temporary file that replaces the output at the end, so memory does not
+    # grow with --steps and a runaway leaves no output behind.
     mf = model_io.load_model(args.model)
     rng = np.random.default_rng(args.seed)
     chunks = generation.rollout_chunks(mf.params, mf.seed_window, args.steps, rng,
                                        burn_in=args.burn_in)
-    # only decoded values outlive a chunk; a runaway raises before any file
-    values = np.empty((args.steps, mf.n_assets))
-    for start, rows in chunks:
-        encoded = data.EncodedSeries(matrix=rows, arch=mf.params.arch, codec=mf.codec)
-        values[start:start + rows.shape[0]] = data.decode_series(encoded)
-    os.makedirs(args.output_dir, exist_ok=True)
     out_path = os.path.join(args.output_dir, SYNTHETIC_FILENAME)
-    _write_csv(out_path, ["step"] + list(mf.asset_names),
-               [np.arange(values.shape[0]), *values.T])
-    print(f"wrote {values.shape[0]} synthetic rows to {out_path}")
+    with _publishing(args.output_dir, [out_path]) as (part,), \
+            _open_csv(part, ["step", *mf.asset_names]) as fh:
+        for start, rows in chunks:
+            values = data._decode(rows, mf.codec)
+            _write_rows(fh, [np.arange(start, start + len(values)), *values.T])
+    print(f"wrote {args.steps} synthetic rows to {out_path}")
     return 0
-
-
-def _make_dirs(path) -> list:
-    """os.makedirs(path, exist_ok=True); returns the directories it made,
-    deepest first."""
-    made, head = [], os.path.abspath(path)
-    while not os.path.exists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(path, exist_ok=True)
-    return made
 
 
 def _overlay_index(names, args, mf):
@@ -178,10 +202,8 @@ def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tup
     rows, dates, gauge, totals = np.empty((0, m.n_visible)), [], np.empty(0), np.empty(0)
     n_scored = n_flagged = n_clipped = n_dropped = 0
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
-                 for path in paths]
-        for fh, header in zip(files, headers):
-            fh.write(",".join(map(_quote, header)) + "\r\n")
+        files = [stack.enter_context(_open_csv(path, header))
+                 for path, header in zip(paths, headers)]
         for block_dates, values, dropped in itertools.chain(blocks, [(None, None, 0)]):
             n_dropped += dropped
             if values is not None:  # None: score what is left
@@ -226,12 +248,10 @@ def cmd_energy(args) -> int:
     if args.overlay_column is not None:
         paths.append(os.path.join(args.output_dir, OVERLAY_FILENAME))
         headers.append(header + [args.overlay_column])
-    parts = [path + ".part" for path in paths]
     rule = (mf, args.flag_window, args.flag_threshold)
     with contextlib.closing(data.ingest_blocks(args.input, args.date_column)) as blocks:
         overlay = _overlay_index(next(blocks), args, mf)
-        made = _make_dirs(args.output_dir)
-        try:
+        with _publishing(args.output_dir, paths) as parts:
             try:
                 counts = _score_blocks(parts, headers, blocks, *rule, overlay)
             except data.DatesNotAscending:
@@ -240,16 +260,6 @@ def cmd_energy(args) -> int:
                 overlay = _overlay_index(series.asset_names, args, mf)
                 whole = [(series.dates, series.values, series.n_dropped)]
                 counts = _score_blocks(parts, headers, whole, *rule, overlay)
-            for part, path in zip(parts, paths):
-                os.replace(part, path)
-        except BaseException:
-            for part in parts:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(part)
-            with contextlib.suppress(OSError):
-                for directory in made:
-                    os.rmdir(directory)
-            raise
     n_scored, n_flagged, n_clipped, n_dropped = counts
     if n_dropped:
         print(f"dropped {n_dropped} malformed input row(s)")

@@ -516,7 +516,7 @@ def destandardize(encoded: EncodedSeries) -> np.ndarray:
         raise ValueError("destandardize requires a continuous (Gaussian) series")
     if not isinstance(encoded.codec, ZScoreParams):
         raise ValueError("encoded series carries no z-score parameters")
-    return encoded.matrix * encoded.codec.sigma + encoded.codec.mu
+    return _decode(encoded.matrix, encoded.codec)
 
 
 def decode_series(encoded: EncodedSeries) -> np.ndarray:
@@ -530,12 +530,20 @@ def decode_series(encoded: EncodedSeries) -> np.ndarray:
     codec = encoded.codec
     if not isinstance(codec, BinaryCodec):
         raise ValueError("binary series carries no binary codec")
-    nbits = codec.bits_per_asset
-    if encoded.n_visible != codec.n_assets * nbits:
+    if encoded.n_visible != codec.n_assets * codec.bits_per_asset:
         raise ValueError(
             f"bit-group misalignment: {encoded.n_visible} columns is not "
-            f"{codec.n_assets} assets x {nbits} bits")
-    bits = encoded.matrix.reshape(encoded.n_rows, codec.n_assets, nbits)
+            f"{codec.n_assets} assets x {codec.bits_per_asset} bits")
+    return _decode(encoded.matrix, codec)
+
+
+def _decode(matrix: np.ndarray, codec) -> np.ndarray:
+    """decode_series of the rows ``matrix`` in the units of ``codec``, a
+    BinaryCodec or ZScoreParams, unchecked."""
+    if not isinstance(codec, BinaryCodec):
+        return matrix * codec.sigma + codec.mu
+    nbits = codec.bits_per_asset
+    bits = matrix.reshape(matrix.shape[0], codec.n_assets, nbits)
     weights = (1 << np.arange(nbits - 1, -1, -1, dtype=np.int64)).astype(np.float64)
     idx = bits @ weights
     top = float((1 << nbits) - 1)

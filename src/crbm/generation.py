@@ -21,11 +21,11 @@ def rollout_chunks(m: ModelParams, seed_window: np.ndarray, steps: int,
 
     ``rows`` holds emitted rows start, start + 1, ... in encoded units, and
     the chunks cover all ``steps`` rows in order. The arguments are checked
-    when this is called, not at the first chunk. Each chunk's uniforms take
-    at most READ_AHEAD_BYTES, and the encoded rows live in a ring of
-    max(lag, 1) + chunk rows, so memory does not grow with ``steps``:
-    ``rows`` is a view of the ring that the next chunk overwrites, and a
-    caller that keeps it must copy it.
+    when this is called, not at the first chunk. Each chunk's uniforms and
+    variates take about READ_AHEAD_BYTES, and the encoded rows live in a
+    ring of max(lag, 1) + chunk rows, so memory does not grow with
+    ``steps``: ``rows`` is a view of the ring that the next chunk
+    overwrites, and a caller that keeps it must copy it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -36,7 +36,8 @@ def rollout_chunks(m: ModelParams, seed_window: np.ndarray, steps: int,
         raise ValueError(
             f"seed window has {window.shape[0]} values, model expects {m.window_size}")
     sweeps, width = burn_in + 1, sweep_width(m)
-    chunk = min(steps, max(1, READ_AHEAD_BYTES // (8 * sweeps * width)))
+    # sweep_variates makes about as many doubles as the uniforms it reads
+    chunk = min(steps, max(1, READ_AHEAD_BYTES // (16 * sweeps * width)))
     # The ring's first rows hold the window before the chunk, so each window
     # is a view and each chain starts at the row before; with lag 0 a zero
     # row starts the first chain, and the chain then persists across chunks.
@@ -77,8 +78,9 @@ def generate(m: ModelParams, seed_window: np.ndarray, steps: int,
     step freezes the window, starts the chain at its most recent row, runs
     burn_in + 1 block-Gibbs transitions, and appends the final state; row t
     is therefore a function of (window before t, generator state) only.
-    Uniforms are drawn for chunks of rows of at most READ_AHEAD_BYTES, in
-    the order gibbs_step would take them, and no more than the rows use.
+    Uniforms are drawn for chunks of rows whose uniforms and variates take
+    about READ_AHEAD_BYTES, in the order gibbs_step would take them, and no
+    more than the rows use.
     A rollout that runs away is stopped at the end of the chunk where it
     went non-finite, with a ValueError naming the first such step. The
     returned series is in encoded units; pass ``codec`` so downstream

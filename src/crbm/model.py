@@ -28,9 +28,10 @@ ARCH_GAUSSIAN = "gaussian"
 # exact_marginals enumerates 2^n_visible states; keep that cheap
 ENUMERATION_LIMIT = 12
 
-# Bytes of uniforms in one read-ahead block of all persistent chains, in one
-# chunk of generate's rows, and of hidden pre-activations in one block of
-# scored rows; larger blocks save few calls and raise peak RSS.
+# Bytes of uniforms in one read-ahead block of all persistent chains, of
+# uniforms and variates in one chunk of generate's rows, and of hidden
+# pre-activations in one block of scored rows; larger blocks save few calls
+# and raise peak RSS.
 READ_AHEAD_BYTES = 256 * 1024
 
 
@@ -342,9 +343,12 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
 
     Returns (v', h). Like every sampler here, each row reads sweep_width(m)
     consecutive uniforms, its hidden ones first, then its visible ones, and
-    rows read one after another; so a batch call equals row-by-row calls on
-    the same generator and leaves it in the same state. ``rng``, the
-    generator they come from, must be given by keyword.
+    rows read one after another; so a batch call leaves the generator in
+    the state that row-by-row calls leave it in. Its rows agree with theirs
+    for a Bernoulli model except at threshold ties; a Gaussian model's may
+    differ in the last bits, because numpy computes a one-row product by
+    another BLAS routine. ``rng``, the generator they come from, must be
+    given by keyword.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != m.n_visible:

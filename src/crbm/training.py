@@ -114,7 +114,10 @@ class TrainConfig:
             val = val.strip().strip("'\"")
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _parse_config_value(known[key], val)
+            try:
+                values[key] = _parse_config_value(known[key], val)
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno}: {key}: {exc}") from None
         values.update(overrides)
         if "seed" not in values:
             raise ValueError("config must provide a seed")
@@ -122,8 +125,13 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "TrainConfig":
+        """from_text of the file at ``path``; its ValueErrors start with ``path``."""
         with _open_text(path) as fh:
-            return cls.from_text(fh.read(), **overrides)
+            text = fh.read()
+        try:
+            return cls.from_text(text, **overrides)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_config_value(field, val: str):

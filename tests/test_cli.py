@@ -202,6 +202,18 @@ class TestTrain:
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, error", [
+        ("bogus=1", "config line 2: unknown key 'bogus'"),
+        ("epochs=x", "config line 2: epochs: invalid literal for int() with base 10: 'x'"),
+        ("epochs=0", "epochs must be >= 1"),
+    ], ids=["unknown_key", "bad_value", "invalid_value"])
+    def test_config_error_names_the_file(self, tmp_path, config_path, capsys, line, error):
+        config_path.write_text("lag=2\n" + line + "\n")
+        out = tmp_path / "out"
+        assert run(*train_args(out, config_path)) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["seed", "name"])
     def test_value_the_model_file_cannot_hold_is_refused_before_training(
             self, tmp_path, config_path, capsys, monkeypatch, case):
@@ -304,13 +316,35 @@ class TestGenerate:
         assert err.endswith(" of 5000\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_refused_allocation_is_a_one_line_error(self, trained, tmp_path, capsys):
-        code = run("generate", "--model", trained / "model.crbm", "--steps", 10**15,
-                   "--seed", "1", "--output-dir", tmp_path / "huge")
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    def test_runaway_after_written_chunks_leaves_what_was_there(self, tmp_path, capsys,
+                                                                 monkeypatch, existing):
+        m = runaway_gaussian_model()
+        save_model(ModelFile(params=m, asset_names=["x", "y"],
+                             codec=ZScoreParams(np.zeros(2), np.ones(2)), seed=0,
+                             seed_window=np.ones(2)), tmp_path / "runaway.crbm")
+        # 4-row chunks: some 160 of them are written before the rollout overflows
+        monkeypatch.setattr(generation, "READ_AHEAD_BYTES", 4 * 16 * 3 * sweep_width(m))
+        written, write_rows = [], cli._write_rows
+        monkeypatch.setattr(cli, "_write_rows", lambda fh, columns: (
+            written.append(len(columns[0])), write_rows(fh, columns)))
+        out = tmp_path / "out" / "gen"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "synthetic.csv").write_bytes(b"step,x,y\r\n0,1.0,2.0\r\n")
+        code = run("generate", "--model", tmp_path / "runaway.crbm", "--steps", "5000",
+                   "--seed", "1", "--burn-in", "2", "--output-dir", out)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
-        assert not (tmp_path / "huge").exists()
+        assert err.startswith("error: rollout went non-finite at step ")
+        assert err.endswith(" of 5000\n") and err.count("\n") == 1
+        step = int(err.split("step ")[1].split()[0])
+        assert sum(written) == step // 4 * 4 > 0
+        if existing:
+            assert os.listdir(out) == ["synthetic.csv"]
+            assert (out / "synthetic.csv").read_bytes() == b"step,x,y\r\n0,1.0,2.0\r\n"
+        else:
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 3])
     @pytest.mark.parametrize("gaussian", [True, False], ids=["gaussian", "bernoulli"])
@@ -321,16 +355,17 @@ class TestGenerate:
         args = ("generate", "--model", path, "--steps", "40", "--seed", "4", "--burn-in", "2")
         assert run(*args, "--output-dir", tmp_path / "one") == 0
         # 40 rows fit in one default chunk; these bytes take rows_per_chunk
-        per_row = 8 * 3 * sweep_width(load_model(path).params)
+        per_row = 16 * 3 * sweep_width(load_model(path).params)
         monkeypatch.setattr(generation, "READ_AHEAD_BYTES", rows_per_chunk * per_row)
         assert run(*args, "--output-dir", tmp_path / "many") == 0
         assert (tmp_path / "many" / "synthetic.csv").read_bytes() == \
             (tmp_path / "one" / "synthetic.csv").read_bytes()
 
-    def test_memory_does_not_grow_with_encoded_width(self, bits_model, tmp_path):
-        # encoded rows live in a ring of lag + one chunk, and only the decoded
-        # steps x 4 values grow: 192 KB more at 8,000 steps than at 2,000,
-        # where keeping every steps x 64 row adds 3 MB
+    def test_memory_does_not_grow_with_steps(self, bits_model, tmp_path):
+        # encoded rows live in a ring of lag + one chunk, and each chunk is
+        # decoded and written before the next; keeping the decoded steps x 4
+        # values would add 192 KB at 8,000 steps over 2,000, and keeping
+        # every encoded steps x 64 row 3 MB
         def peak(steps):
             tracemalloc.start()
             try:
@@ -341,7 +376,7 @@ class TestGenerate:
                 tracemalloc.stop()
 
         peak(10)  # first-call imports and caches
-        assert peak(8000) - peak(2000) < 2**20
+        assert peak(8000) - peak(2000) < 64 * 1024
 
 
 class TestStartup:

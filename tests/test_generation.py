@@ -129,7 +129,7 @@ class TestGenerate:
     def test_lagged_rollout_is_a_loop_of_gibbs_steps(self, make, lag, steps, burn_in,
                                                      boundaries):
         m, seed_w = self.lagged_model(make, lag)
-        chunk = READ_AHEAD_BYTES // (8 * (burn_in + 1) * sweep_width(m))
+        chunk = READ_AHEAD_BYTES // (16 * (burn_in + 1) * sweep_width(m))
         assert (steps - 1) // chunk >= boundaries
         self.assert_loop_of_gibbs_steps(m, seed_w, steps, burn_in)
 
@@ -139,7 +139,7 @@ class TestGenerate:
         # 3-row chunks: the last one is short, full, or a single row; with
         # 3 visible bits one wrong boundary can match by chance, 19 cannot
         m, seed_w = self.lagged_model(random_bernoulli_model, lag)
-        monkeypatch.setattr(generation, "READ_AHEAD_BYTES", 3 * 8 * sweep_width(m))
+        monkeypatch.setattr(generation, "READ_AHEAD_BYTES", 3 * 16 * sweep_width(m))
         self.assert_loop_of_gibbs_steps(m, seed_w, steps, burn_in=0)
 
     def test_runaway_rollout_names_first_non_finite_step(self):

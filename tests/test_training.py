@@ -1,9 +1,12 @@
 """Configuration, gradient estimator structure, updates, and the training loop."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbm.data import EncodedSeries
 from crbm.dynamics import build_windows, dynamic_hidden_bias, dynamic_visible_bias
@@ -97,6 +100,28 @@ class TestTrainConfig:
         path.write_text("seed=1\nepochs=9\nlag=2\n")
         cfg = TrainConfig.from_file(path, seed=7, lag=4)
         assert (cfg.seed, cfg.epochs, cfg.lag) == (7, 9, 4)
+
+    # numbers that parse, or not, at the edges of int(), float() and validation
+    CONFIG_NUMBERS = st.sampled_from([
+        "nan", "-NaN", "inf", "1e999", "-1e999", "", "none", "None", "'none'", "1_000", "1__0",
+        "_1", "\u0663", "\uff11\uff12", "0", "-1", "0.5", "1e-3", "2", "3.0", "0x10", "1" * 5000])
+    CONFIG_KEYS = st.sampled_from([f.name for f in fields(TrainConfig)])
+    CONFIG_LINES = st.one_of(
+        st.builds("{}={}".format, CONFIG_KEYS, CONFIG_NUMBERS),
+        st.builds("{}={}".format, CONFIG_KEYS, st.integers(-2, 10**20) | st.floats()),
+        st.builds("{}={}".format, CONFIG_KEYS | st.text(max_size=4), st.text(max_size=6)),
+        st.text(max_size=8))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.booleans(), st.lists(CONFIG_LINES, max_size=6))
+    def test_any_text_is_a_config_or_a_one_line_value_error(self, seeded, lines):
+        text = "\n".join(["seed=1"] * seeded + lines)
+        try:
+            cfg = TrainConfig.from_text(text)
+        except ValueError as exc:
+            assert len(str(exc).splitlines()) == 1, repr(str(exc))
+        else:
+            assert isinstance(cfg, TrainConfig)
 
 
 class TestInitParams:
