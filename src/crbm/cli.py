@@ -73,9 +73,8 @@ def _write_rows(fh, columns) -> None:
 
 
 def _encode_with(series: data.RawSeries, codec) -> data.EncodedSeries:
-    if isinstance(codec, data.BinaryCodec):
-        return data.binarize(series, codec)
-    return data.standardize(series, codec)
+    encode = data.binarize if codec.arch == ARCH_BERNOULLI else data.standardize
+    return encode(series, codec)
 
 
 def _build_train_config(args) -> training.TrainConfig:
@@ -362,6 +361,17 @@ def _parse_date(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _non_negative_int(text: str) -> int:
+    """An integer >= 0, for a flag such as ``--seed`` or ``--lag``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crbm",
@@ -374,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--arch", required=True, choices=[ARCH_BERNOULLI, ARCH_GAUSSIAN],
                          help=f"{ARCH_BERNOULLI} trains on bit encodings, "
                               f"{ARCH_GAUSSIAN} on z-scores")
-    p_train.add_argument("--seed", required=True, type=int,
+    p_train.add_argument("--seed", required=True, type=_non_negative_int,
                          help="training seed (no default on purpose)")
     p_train.add_argument("--output-dir", required=True,
                          help=f"directory for {MODEL_FILENAME} and {REPORT_FILENAME}")
@@ -382,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--split-date", type=_parse_date,
                          help="train on rows up to and including this date "
                               "(default: the whole series)")
-    p_train.add_argument("--lag", type=int, help="history window length in rows")
+    p_train.add_argument("--lag", type=_non_negative_int, help="history window length in rows")
     p_train.add_argument("--bits", type=int, default=16,
                          help=f"bits per asset for the {ARCH_BERNOULLI} architecture")
     p_train.add_argument("--date-column", help="date column name (default: first)")
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="sample a synthetic series from a model")
     p_gen.add_argument("--model", required=True, help="model file from train")
     p_gen.add_argument("--steps", required=True, type=int, help="rows to emit")
-    p_gen.add_argument("--seed", required=True, type=int, help="sampling seed")
+    p_gen.add_argument("--seed", required=True, type=_non_negative_int, help="sampling seed")
     p_gen.add_argument("--output-dir", required=True,
                        help=f"directory for {SYNTHETIC_FILENAME}")
     p_gen.add_argument("--burn-in", type=int, default=20,

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import itertools
 import operator
+import os
 import re
 from dataclasses import dataclass
 from datetime import date as Date
@@ -66,6 +67,7 @@ class BinaryCodec:
     bits are emitted most-significant-first.
     """
 
+    arch = ARCH_BERNOULLI  # the architecture it feeds: a class attribute, not a field
     minimum: np.ndarray
     maximum: np.ndarray
     bits_per_asset: int = 16
@@ -93,6 +95,7 @@ class BinaryCodec:
 class ZScoreParams:
     """Per-asset mean and standard deviation fitted on the training split."""
 
+    arch = ARCH_GAUSSIAN
     mu: np.ndarray
     sigma: np.ndarray
 
@@ -311,13 +314,18 @@ def _read_rows(path, fh, parse_label, label_kind: str, label_column: str | None 
     counted before the read, so no value is copied or held twice; growing a
     buffer block by block copied it each time the allocator could not extend
     it in place, which raised the peak RSS by up to the size of the values.
-    Input that cannot be counted ahead, such as a pipe, or a file that grows
-    while it is read, grows the array instead. ``labels`` is None with no
+    A kept row holds a comma and a character for each value column, so a
+    file of n bytes has at most n // (2 * columns) + 1 of them, however many
+    empty lines it holds, and the array has no more rows than that. Input
+    that cannot be counted ahead, such as a pipe, or a file that grows while
+    it is read, grows the array instead. ``labels`` is None with no
     ``parse_label``.
     """
     n_lines = _count_lines(fh)
     blocks = _read_blocks(path, fh, parse_label, label_kind, label_column)
     asset_names = next(blocks)
+    if n_lines is not None:
+        n_lines = min(n_lines, os.fstat(fh.fileno()).st_size // (2 * len(asset_names)) + 1)
     values = np.empty((n_lines or 0, len(asset_names)))
     labels = None if parse_label is None else []
     n_rows = n_dropped = 0
@@ -510,27 +518,17 @@ def standardize(series: RawSeries, params: ZScoreParams) -> EncodedSeries:
     return EncodedSeries(matrix, ARCH_GAUSSIAN, codec=params, dates=series.dates)
 
 
-def destandardize(encoded: EncodedSeries) -> np.ndarray:
-    """Invert standardize: x = v * sigma + mu."""
-    if encoded.arch != ARCH_GAUSSIAN:
-        raise ValueError("destandardize requires a continuous (Gaussian) series")
-    if not isinstance(encoded.codec, ZScoreParams):
-        raise ValueError("encoded series carries no z-score parameters")
-    return _decode(encoded.matrix, encoded.codec)
-
-
 def decode_series(encoded: EncodedSeries) -> np.ndarray:
     """Map an encoded matrix back to raw units (T x n_assets).
 
     Bernoulli rows group columns per asset MSB-first and decode to bin
     centers; Gaussian rows take the affine z-score inverse.
     """
-    if encoded.arch == ARCH_GAUSSIAN:
-        return destandardize(encoded)
     codec = encoded.codec
-    if not isinstance(codec, BinaryCodec):
-        raise ValueError("binary series carries no binary codec")
-    if encoded.n_visible != codec.n_assets * codec.bits_per_asset:
+    if getattr(codec, "arch", None) != encoded.arch:
+        raise ValueError(f"{encoded.arch} series carries no {encoded.arch} codec")
+    if encoded.arch == ARCH_BERNOULLI and (
+            encoded.n_visible != codec.n_assets * codec.bits_per_asset):
         raise ValueError(
             f"bit-group misalignment: {encoded.n_visible} columns is not "
             f"{codec.n_assets} assets x {codec.bits_per_asset} bits")
@@ -540,7 +538,7 @@ def decode_series(encoded: EncodedSeries) -> np.ndarray:
 def _decode(matrix: np.ndarray, codec) -> np.ndarray:
     """decode_series of the rows ``matrix`` in the units of ``codec``, a
     BinaryCodec or ZScoreParams, unchecked."""
-    if not isinstance(codec, BinaryCodec):
+    if codec.arch == ARCH_GAUSSIAN:
         return matrix * codec.sigma + codec.mu
     nbits = codec.bits_per_asset
     bits = matrix.reshape(matrix.shape[0], codec.n_assets, nbits)

@@ -28,10 +28,13 @@ ARCH_GAUSSIAN = "gaussian"
 # exact_marginals enumerates 2^n_visible states; keep that cheap
 ENUMERATION_LIMIT = 12
 
-# Bytes of uniforms in one read-ahead block of all persistent chains, of
-# uniforms and variates in one chunk of generate's rows, and of hidden
-# pre-activations in one block of scored rows; larger blocks save few calls
-# and raise peak RSS.
+# Bytes of work held at once: uniforms in one read-ahead block of all
+# persistent chains, uniforms and variates in one chunk of generate's rows,
+# hidden pre-activations in one block of scored rows, encoded rows in one
+# energy scoring call, windows in one block of regime flags, values in one
+# block of a model-file read, formatted cells in one block of written rows,
+# and one read of a CSV whose lines are counted; a block of CSV text is a
+# quarter of it. Larger blocks save few calls and raise peak RSS.
 READ_AHEAD_BYTES = 256 * 1024
 
 

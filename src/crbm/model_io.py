@@ -43,13 +43,11 @@ class ModelFile:
         self.seed_window = np.asarray(self.seed_window, dtype=np.float64).ravel()
         if self.seed_window.shape[0] != self.params.window_size:
             raise ValueError("seed window length does not match lag * n_visible")
-        expected = (ARCH_BERNOULLI if isinstance(self.codec, BinaryCodec)
-                    else ARCH_GAUSSIAN)
-        if self.params.arch != expected:
+        if self.params.arch != self.codec.arch:
             raise ValueError(f"{type(self.codec).__name__} cannot feed a "
                              f"{self.params.arch} model")
         n_assets = len(self.asset_names)
-        per_asset = self.codec.bits_per_asset if isinstance(self.codec, BinaryCodec) else 1
+        per_asset = self.codec.bits_per_asset if self.codec.arch == ARCH_BERNOULLI else 1
         if self.codec.n_assets != n_assets:
             raise ValueError("codec and asset name counts differ")
         if self.params.n_visible != n_assets * per_asset:
@@ -93,7 +91,7 @@ def save_model(mf: ModelFile, path) -> None:
     ]
     for name in mf.asset_names:
         parts.append(_pack_str(str(name), "H"))
-    if isinstance(mf.codec, BinaryCodec):
+    if mf.codec.arch == ARCH_BERNOULLI:
         parts.append(struct.pack("<BI", _CODEC_BINARY, mf.codec.bits_per_asset))
         parts.append(_pack_array(mf.codec.minimum))
         parts.append(_pack_array(mf.codec.maximum))

@@ -60,6 +60,8 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -170,6 +170,16 @@ class TestTrain:
         assert len(errors) == 1 and "is not a YYYY-MM-DD date" in errors[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--seed", "--lag"])
+    def test_negative_count_is_usage_error_naming_the_flag(self, tmp_path, config_path,
+                                                           capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            run(*train_args(tmp_path / "out", config_path, [flag, "-1"]))
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"argument {flag}: must be >= 0, got -1")
+        assert not (tmp_path / "out").exists()
+
     def test_split_date_limits_training_rows(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run(*train_args(out, config_path,
@@ -273,6 +283,15 @@ class TestGenerate:
                        "5", "--seed", "9", "--output-dir", out) == 0
             outs.append((out / "synthetic.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_is_usage_error_naming_the_flag(self, trained, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("generate", "--model", trained / "model.crbm", "--steps", "5",
+                "--seed", "-1", "--output-dir", tmp_path / "gen")
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].endswith("argument --seed: must be >= 0, got -1")
+        assert not (tmp_path / "gen").exists()
 
     def test_unreadable_model(self, tmp_path, capsys):
         code = run("generate", "--model", tmp_path / "no.crbm", "--steps", "5",

@@ -20,7 +20,6 @@ from crbm.data import (
     binarize,
     chrono_split,
     decode_series,
-    destandardize,
     fit_binary_codec,
     fit_zscore,
     ingest_blocks,
@@ -305,8 +304,6 @@ class TestZScore:
     def test_roundtrip_identity(self, toy_series):
         params = fit_zscore(toy_series)
         enc = standardize(toy_series, params)
-        np.testing.assert_allclose(destandardize(enc), toy_series.values,
-                                   atol=1e-12)
         np.testing.assert_allclose(decode_series(enc), toy_series.values,
                                    atol=1e-12)
 
@@ -327,11 +324,15 @@ class TestZScore:
         # temporary would add another 1.0
         assert peak < 1.5 * values.nbytes
 
-    def test_destandardize_mode_guard(self):
-        enc = EncodedSeries(np.zeros((1, 2)), ARCH_BERNOULLI,
-                            codec=BinaryCodec([0, 0], [1, 1], bits_per_asset=1))
-        with pytest.raises(ValueError, match="continuous"):
-            destandardize(enc)
+    @pytest.mark.parametrize("arch, codec", [
+        (ARCH_GAUSSIAN, BinaryCodec([0, 0], [1, 1], bits_per_asset=1)),
+        (ARCH_BERNOULLI, ZScoreParams([0, 0], [1, 1])),
+        (ARCH_GAUSSIAN, None),
+    ], ids=["gaussian_binary", "bernoulli_zscore", "no_codec"])
+    def test_decode_series_needs_the_codec_of_its_arch(self, arch, codec):
+        enc = EncodedSeries(np.zeros((1, 2)), arch, codec=codec)
+        with pytest.raises(ValueError, match=f"^{arch} series carries no {arch} codec$"):
+            decode_series(enc)
 
 
 class TestEncodedSeries:
@@ -522,6 +523,21 @@ class TestStreamingRead:
             tracemalloc.stop()
         assert table.values[-1, 0] == 19_999.5
         assert peak < 2**20
+
+    @pytest.mark.parametrize("reader", [ingest_csv, read_values_csv])
+    def test_empty_lines_do_not_size_the_array(self, tmp_path, reader):
+        # a 10,000-column header over 100,000 empty lines, about 159 KB:
+        # sized by its line count, the array would take 7.45 GiB
+        path = tmp_path / "hollow.csv"
+        path.write_text(",".join(f"c{j}" for j in range(10_000)) + "\n" * 100_001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="no parseable rows"):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * path.stat().st_size
 
     def test_quoted_cell_ends_its_block_at_the_end_of_its_row(self, tmp_path, monkeypatch):
         # every 7th row has a cell quoted across two lines, so some of them

@@ -222,6 +222,18 @@ class TestModelFileValidation:
             ModelFile(params=m, codec=codec, asset_names=["a", "b"], seed=0,
                       seed_window=np.zeros(0))
 
+    @pytest.mark.parametrize("make_model, codec, message", [
+        (random_gaussian_model, BinaryCodec([0.0, 0.0], [1.0, 1.0], bits_per_asset=1),
+         "BinaryCodec cannot feed a gaussian model"),
+        (random_bernoulli_model, ZScoreParams([0.0, 0.0], [1.0, 1.0]),
+         "ZScoreParams cannot feed a bernoulli model"),
+    ], ids=["binary_gaussian", "zscore_bernoulli"])
+    def test_codec_feeds_only_its_arch(self, make_model, codec, message):
+        m = make_model(np.random.default_rng(210), 2, 2, lag=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelFile(params=m, codec=codec, asset_names=["a", "b"], seed=0,
+                      seed_window=np.zeros(0))
+
     @pytest.mark.parametrize("seed, name, match", [
         (2**63, "x", "seed 9223372036854775808 does not fit"),
         (-2**63 - 1, "x", "seed -9223372036854775809 does not fit"),

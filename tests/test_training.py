@@ -76,6 +76,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(seed=1, **bad)
 
+    def test_negative_seed_refused(self):
+        # numpy's seeding would refuse it only once training starts
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            TrainConfig(seed=-1)
+
     def test_text_roundtrip(self):
         cfg = TrainConfig(seed=42, learning_rate=3e-3, sparsity_target=0.1,
                           sparsity_cost=0.9, epochs=7)
