@@ -240,7 +240,6 @@ def cmd_energy(args) -> int:
     # The input streams through a block at a time, into temporary files that
     # replace the outputs at the end; input whose dates do not ascend is
     # read whole and sorted instead. An error leaves no output behind.
-    diagnostics.check_flag_rule(args.flag_window, args.flag_threshold)
     mf = model_io.load_model(args.model)
     header = ["date", "total", "quadratic", "structural", "flag"]
     paths, headers = [os.path.join(args.output_dir, ENERGY_FILENAME)], [header]
@@ -282,8 +281,6 @@ def _write_corr_csv(path, names, matrix) -> None:
 def _stats_size_error(n_quantiles: int, n_rows: int) -> str | None:
     """The error qq_table, then summary_stats, raises first on series of at
     least ``n_rows`` rows, or None."""
-    if n_quantiles < 1:
-        return "n_quantiles must be >= 1"
     if n_rows < n_quantiles:
         return "need at least n_quantiles values in each sample"
     if n_rows < 2:
@@ -361,15 +358,23 @@ def _parse_date(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _non_negative_int(text: str) -> int:
-    """An integer >= 0, for a flag such as ``--seed`` or ``--lag``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _number(kind, low=None, high=None):
+    """An argparse type for a numeric flag: a ``kind`` value, not NaN, within
+    [low, high], either of which may be None; argparse names the flag of a
+    value it refuses."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if value != value:  # NaN
+            raise argparse.ArgumentTypeError("must not be NaN")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--arch", required=True, choices=[ARCH_BERNOULLI, ARCH_GAUSSIAN],
                          help=f"{ARCH_BERNOULLI} trains on bit encodings, "
                               f"{ARCH_GAUSSIAN} on z-scores")
-    p_train.add_argument("--seed", required=True, type=_non_negative_int,
+    p_train.add_argument("--seed", required=True, type=_number(int, 0),
                          help="training seed (no default on purpose)")
     p_train.add_argument("--output-dir", required=True,
                          help=f"directory for {MODEL_FILENAME} and {REPORT_FILENAME}")
@@ -392,19 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--split-date", type=_parse_date,
                          help="train on rows up to and including this date "
                               "(default: the whole series)")
-    p_train.add_argument("--lag", type=_non_negative_int, help="history window length in rows")
-    p_train.add_argument("--bits", type=int, default=16,
+    p_train.add_argument("--lag", type=_number(int, 0), help="history window length in rows")
+    p_train.add_argument("--bits", type=_number(int, 1, data.MAX_BITS), default=16,
                          help=f"bits per asset for the {ARCH_BERNOULLI} architecture")
     p_train.add_argument("--date-column", help="date column name (default: first)")
     p_train.set_defaults(func=cmd_train)
 
     p_gen = sub.add_parser("generate", help="sample a synthetic series from a model")
     p_gen.add_argument("--model", required=True, help="model file from train")
-    p_gen.add_argument("--steps", required=True, type=int, help="rows to emit")
-    p_gen.add_argument("--seed", required=True, type=_non_negative_int, help="sampling seed")
+    p_gen.add_argument("--steps", required=True, type=_number(int, 1), help="rows to emit")
+    p_gen.add_argument("--seed", required=True, type=_number(int, 0), help="sampling seed")
     p_gen.add_argument("--output-dir", required=True,
                        help=f"directory for {SYNTHETIC_FILENAME}")
-    p_gen.add_argument("--burn-in", type=int, default=20,
+    p_gen.add_argument("--burn-in", type=_number(int, 0), default=20,
                        help="extra Gibbs sweeps before each emitted row")
     p_gen.set_defaults(func=cmd_generate)
 
@@ -415,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"directory for {ENERGY_FILENAME}")
     p_energy.add_argument("--overlay-column", help="input column to pass through "
                           f"into {OVERLAY_FILENAME} instead of scoring it")
-    p_energy.add_argument("--flag-window", type=int, default=diagnostics.FLAG_WINDOW,
+    p_energy.add_argument("--flag-window", type=_number(int, 2), default=diagnostics.FLAG_WINDOW,
                           help="rolling baseline length in rows")
-    p_energy.add_argument("--flag-threshold", type=float,
+    p_energy.add_argument("--flag-threshold", type=_number(float),
                           default=diagnostics.FLAG_THRESHOLD,
                           help="flag when total exceeds mean + threshold * std")
     p_energy.add_argument("--date-column", help="date column name (default: first)")
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--real", required=True, help="real series CSV")
     p_stats.add_argument("--synthetic", required=True, help="synthetic series CSV")
     p_stats.add_argument("--output-dir", required=True, help="directory for fidelity CSVs")
-    p_stats.add_argument("--qq-quantiles", type=int, default=99,
+    p_stats.add_argument("--qq-quantiles", type=_number(int, 1), default=99,
                          help="number of matched quantiles per asset")
     p_stats.set_defaults(func=cmd_stats)
     return parser

@@ -59,6 +59,9 @@ class RawSeries:
         return self.values.shape[1]
 
 
+MAX_BITS = 48  # the most bits per asset a BinaryCodec takes
+
+
 @dataclass
 class BinaryCodec:
     """Uniform linear quantizer: per-asset [min, max] split into 2^bits bins.
@@ -77,8 +80,8 @@ class BinaryCodec:
         self.maximum = np.asarray(self.maximum, dtype=np.float64)
         if self.minimum.shape != self.maximum.shape or self.minimum.ndim != 1:
             raise ValueError("minimum/maximum must be matching 1-D arrays")
-        if not (1 <= int(self.bits_per_asset) <= 48):
-            raise ValueError("bits_per_asset must be in [1, 48]")
+        if not (1 <= int(self.bits_per_asset) <= MAX_BITS):
+            raise ValueError(f"bits_per_asset must be in [1, {MAX_BITS}]")
         if np.any(self.minimum >= self.maximum):
             raise ValueError("each asset needs minimum < maximum")
 

@@ -54,21 +54,12 @@ def free_energy_series(encoded: EncodedSeries, m: ModelParams) -> FreeEnergySeri
     The first ``m.lag`` rows only seed histories and receive no score, and
     the labels are the dates (or row indices) of the scored rows.
     """
-    windows, targets = build_windows(encoded, m.lag)
+    windows, targets = build_windows(encoded.matrix, m.lag)
     quadratic, structural = conditional_free_energy_terms(targets, windows, m)
     labels = (encoded.dates[m.lag:] if encoded.dates is not None
               else list(range(m.lag, encoded.n_rows)))
     return FreeEnergySeries(labels=labels, total=quadratic + structural,
                             quadratic=quadratic, structural=structural)
-
-
-def check_flag_rule(window: int, threshold: float) -> None:
-    """Raise ValueError unless regime_flags can apply this window and
-    threshold; an infinite threshold is allowed and never flags."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if np.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
 
 
 def regime_flags(total: np.ndarray, window: int = FLAG_WINDOW,
@@ -77,16 +68,19 @@ def regime_flags(total: np.ndarray, window: int = FLAG_WINDOW,
 
     The statistics come from the ``window`` scores strictly before each
     row, so a flagged row never contaminates its own baseline. The first
-    ``window`` rows have no full baseline and are never flagged; a NaN
-    threshold is a ValueError. Rows go through in blocks of READ_AHEAD_BYTES
-    of window, so the temporaries of the standard deviation stay small; each
-    row's statistics are reduced over its own window alone, so the block
-    does not change them.
+    ``window`` rows have no full baseline and are never flagged; a window
+    below 2 or a NaN threshold is a ValueError. Rows go through in blocks of
+    READ_AHEAD_BYTES of window, so the temporaries of the standard deviation
+    stay small; each row's statistics are reduced over its own window alone,
+    so the block does not change them.
     """
     total = np.asarray(total, dtype=np.float64)
     if total.ndim != 1:
         raise ValueError("expected a 1-D score array")
-    check_flag_rule(window, threshold)
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     flags = np.zeros(total.shape[0], dtype=bool)
     if total.shape[0] <= window:
         return flags

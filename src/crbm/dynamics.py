@@ -12,19 +12,17 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .data import EncodedSeries
 from .model import ARCH_GAUSSIAN, READ_AHEAD_BYTES, ModelParams, _visible_term, sigmoid, \
     softplus
 
 
-def build_windows(encoded, lag: int) -> tuple[np.ndarray, np.ndarray]:
+def build_windows(matrix: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair each target row with its flattened history window.
 
-    ``encoded`` may be an EncodedSeries or a plain T x D' matrix. Returns
-    ``(windows, targets)`` with shapes (P, lag * D') and (P, D') where
-    P = T - lag: row t of the input becomes a target once rows
-    t - lag .. t - 1 exist to form its window. With lag = 0 every row is a
-    target and windows are empty.
+    ``matrix`` is an encoded series' T x D' matrix. Returns ``(windows,
+    targets)`` with shapes (P, lag * D') and (P, D') where P = T - lag: row
+    t becomes a target once rows t - lag .. t - 1 exist to form its window.
+    With lag = 0 every row is a target and windows are empty.
 
     Both are read-only views of the series (of a C-ordered copy when the
     input is not C-contiguous float64): window p is the series' bytes from
@@ -33,10 +31,9 @@ def build_windows(encoded, lag: int) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError when fewer than lag + 1 rows are available.
     """
-    matrix = encoded.matrix if isinstance(encoded, EncodedSeries) else np.asarray(encoded, dtype=np.float64)
     if lag < 0:
         raise ValueError("lag must be >= 0")
-    full = np.ascontiguousarray(matrix)
+    full = np.ascontiguousarray(matrix, dtype=np.float64)
     n_rows, width = full.shape
     n_pairs = n_rows - lag
     if n_pairs < 1:

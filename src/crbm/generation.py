@@ -22,9 +22,10 @@ def rollout_chunks(m: ModelParams, seed_window: np.ndarray, steps: int,
     ``rows`` holds emitted rows start, start + 1, ... in encoded units, and
     the chunks cover all ``steps`` rows in order. The arguments are checked
     when this is called, not at the first chunk. Each chunk's uniforms and
-    variates take about READ_AHEAD_BYTES, and the encoded rows live in a
-    ring of max(lag, 1) + chunk rows, so memory does not grow with
-    ``steps``: ``rows`` is a view of the ring that the next chunk
+    variates take about READ_AHEAD_BYTES (a row whose sweeps take more
+    draws them in slices that do), and the encoded rows live in a ring of
+    max(lag, 1) + chunk rows, so memory grows with neither ``steps`` nor
+    ``burn_in``: ``rows`` is a view of the ring that the next chunk
     overwrites, and a caller that keeps it must copy it.
     """
     if steps < 1:
@@ -38,6 +39,8 @@ def rollout_chunks(m: ModelParams, seed_window: np.ndarray, steps: int,
     sweeps, width = burn_in + 1, sweep_width(m)
     # sweep_variates makes about as many doubles as the uniforms it reads
     chunk = min(steps, max(1, READ_AHEAD_BYTES // (16 * sweeps * width)))
+    # a row whose sweeps overrun that (then chunk = 1) runs them in slices that fit
+    part = min(sweeps, max(1, READ_AHEAD_BYTES // (16 * width)))
     # The ring's first rows hold the window before the chunk, so each window
     # is a view and each chain starts at the row before; with lag 0 a zero
     # row starts the first chain, and the chain then persists across chunks.
@@ -48,15 +51,18 @@ def rollout_chunks(m: ModelParams, seed_window: np.ndarray, steps: int,
     def chunks():
         for start in range(0, steps, chunk):
             n = min(chunk, steps - start)
-            lu_h, e_v = sweep_variates(rng.random((n, sweeps, width)), m)
+            lu_h, e_v = sweep_variates(rng.random((n, part, width)), m)
             # a runaway Gaussian rollout overflows; it is reported below
             with np.errstate(over="ignore", invalid="ignore"):
                 for i, t in enumerate(range(first, first + n)):
                     window = ring[t - m.lag:t].ravel()
                     abias = dynamic_visible_bias(window, m)
                     bbias = dynamic_hidden_bias(window, m)
-                    ring[t], _h = gibbs_kernel(ring[t - 1], m, abias, bbias,
-                                               lu_h[i], e_v[i])
+                    v, _h = gibbs_kernel(ring[t - 1], m, abias, bbias, lu_h[i], e_v[i])
+                    for done in range(part, sweeps, part):  # the rest of a sliced row
+                        u = rng.random((min(part, sweeps - done), width))
+                        v, _h = gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))
+                    ring[t] = v
             rows = ring[first:first + n]
             finite = np.isfinite(rows).all(axis=1)
             if not finite.all():

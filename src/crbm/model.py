@@ -363,21 +363,18 @@ def gibbs_step(v: np.ndarray, m: ModelParams,
 
 def run_chains(v: np.ndarray, m: ModelParams,
                abias: np.ndarray | None, bbias: np.ndarray | None,
-               rngs, steps: int) -> tuple[np.ndarray, np.ndarray]:
+               rngs: ChainStreams, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of independent Gibbs chains, one row per chain.
 
-    ``rngs`` is a list of one generator per chain, from which each call
-    draws exactly the uniforms it uses, or a ChainStreams that reads them
-    ahead. Either way chain c reads only its own stream, sweep after sweep
-    in gibbs_step's layout, so the draws of one chain never depend on how
-    many others run alongside it. Returns the final (v, h) batch.
+    ``rngs`` is the ChainStreams of the chains: chain c reads only its own
+    stream, sweep after sweep in gibbs_step's layout, so the draws of one
+    chain never depend on how many others run alongside it. Returns the
+    final (v, h) batch.
     """
     v = np.asarray(v, dtype=np.float64)
     if len(rngs) != v.shape[0]:
         raise ValueError("need one generator per chain")
     abias, bbias = _default_biases(m, abias, bbias)
-    if not isinstance(rngs, ChainStreams):
-        rngs = ChainStreams(rngs, block_bytes=0)
     width = sweep_width(m)
     u = rngs.read(steps * width).reshape(len(rngs), steps, width).swapaxes(0, 1)
     return gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))

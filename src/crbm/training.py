@@ -290,7 +290,7 @@ def train(encoded: EncodedSeries, cfg: TrainConfig) -> TrainReport:
     (data, cfg): initialization, shuffling, chain streams, and window
     reassignment all derive from cfg.seed.
     """
-    windows, targets = build_windows(encoded, cfg.lag)
+    windows, targets = build_windows(encoded.matrix, cfg.lag)
     n_pairs = targets.shape[0]
     n_holdout = int(round(cfg.holdout_fraction * n_pairs))
     n_train = n_pairs - n_holdout

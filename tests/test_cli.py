@@ -906,18 +906,6 @@ class TestEnergyStream:
             f"scored 198 rows (0 flagged); wrote {out / 'free_energy.csv'}",
         ]
 
-    @pytest.mark.parametrize("flag, message", [
-        (("--flag-window", "1"), "window must be >= 2"),
-        (("--flag-threshold", "nan"), "threshold must not be NaN"),
-    ], ids=["window", "nan_threshold"])
-    def test_flag_rule_is_checked_before_the_input(self, trained, tmp_path, capsys, flag,
-                                                   message):
-        out = tmp_path / "en"
-        assert run("energy", "--model", trained / "model.crbm", "--input",
-                   tmp_path / "missing.csv", "--output-dir", out, *flag) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
     def test_peak_memory_does_not_grow_with_rows(self, trained, tmp_path):
         # the whole file held its values, their z-scores and a date per row
         rng = np.random.default_rng(18)
@@ -1021,7 +1009,6 @@ class TestStats:
         assert not out.exists()
 
     @pytest.mark.parametrize("real_rows,synth_rows,n_quantiles,message", [
-        (5, 5, 0, "n_quantiles must be >= 1"),
         (5, 9, 6, "need at least n_quantiles values in each sample"),
         (9, 5, 6, "need at least n_quantiles values in each sample"),
         (9, 5, 10**15, "need at least n_quantiles values in each sample"),
@@ -1073,6 +1060,40 @@ class TestStats:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * values.nbytes
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--steps", "0"], "argument --steps: must be >= 1, got 0"),
+        (["generate", "--steps", "5", "--burn-in", "-1"],
+         "argument --burn-in: must be >= 0, got -1"),
+        (["energy", "--flag-window", "1"], "argument --flag-window: must be >= 2, got 1"),
+        (["energy", "--flag-threshold", "nan"], "argument --flag-threshold: must not be NaN"),
+        (["train", "--arch", "bernoulli", "--bits", "49"],
+         "argument --bits: must be <= 48, got 49"),
+        (["stats", "--qq-quantiles", "0"], "argument --qq-quantiles: must be >= 1, got 0"),
+    ], ids=["steps", "burn-in", "flag-window", "flag-threshold", "bits", "qq-quantiles"])
+    def test_out_of_range_is_usage_error_before_any_file(self, tmp_path, capsys, argv,
+                                                          message):
+        # every file named is missing, so reading any of them would exit 1
+        command, *flags = argv
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        files = {"train": ["--input", missing, "--seed", "1"],
+                 "generate": ["--model", missing, "--seed", "1"],
+                 "energy": ["--model", missing, "--input", missing],
+                 "stats": ["--real", missing, "--synthetic", missing]}[command]
+        with pytest.raises(SystemExit) as err:
+            run(command, *files, "--output-dir", out, *flags)
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].endswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["inf", "-inf"])
+    def test_infinite_flag_threshold_is_accepted(self, text):
+        args = cli.build_parser().parse_args(["energy", "--model", "m", "--input", "i",
+                                              "--output-dir", "o", f"--flag-threshold={text}"])
+        assert args.flag_threshold == float(text)
 
 
 NAME =st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),

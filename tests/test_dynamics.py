@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crbm import dynamics
-from crbm.data import EncodedSeries
 from crbm.dynamics import (
     build_windows,
     conditional_free_energy,
@@ -78,14 +77,6 @@ class TestBuildWindows:
         windows, targets = build_windows(matrix, lag=0)
         assert windows.shape == (4, 0)
         np.testing.assert_array_equal(targets, matrix)
-
-    def test_accepts_encoded_series(self):
-        matrix = np.arange(10.0).reshape(5, 2)
-        enc = EncodedSeries(matrix, ARCH_GAUSSIAN)
-        w_enc, t_enc = build_windows(enc, lag=2)
-        w_raw, t_raw = build_windows(matrix, lag=2)
-        np.testing.assert_array_equal(w_enc, w_raw)
-        np.testing.assert_array_equal(t_enc, t_raw)
 
     def test_short_series_error(self):
         with pytest.raises(ValueError):

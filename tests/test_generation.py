@@ -1,5 +1,6 @@
 """Autoregressive synthesis and the summary statistics block."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -20,6 +21,17 @@ from helpers import random_bernoulli_model, random_gaussian_model, runaway_gauss
 def zero_gaussian(nv=2, nh=3, lag=0):
     return ModelParams(W=np.zeros((nv, nh)), a=np.zeros(nv), b=np.zeros(nh),
                        arch=ARCH_GAUSSIAN, lag=lag)
+
+
+class DrawSpy:
+    """A generator that records how many doubles each ``random`` call asks for."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(math.prod(size))
+        return self.rng.random(size)
 
 
 class TestGenerate:
@@ -141,6 +153,22 @@ class TestGenerate:
         m, seed_w = self.lagged_model(random_bernoulli_model, lag)
         monkeypatch.setattr(generation, "READ_AHEAD_BYTES", 3 * 16 * sweep_width(m))
         self.assert_loop_of_gibbs_steps(m, seed_w, steps, burn_in=0)
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize("make", [random_bernoulli_model, random_gaussian_model])
+    def test_row_over_the_budget_draws_its_sweeps_in_slices(self, monkeypatch, make, lag):
+        # a budget of 5 sweeps and a bit cuts each row's 20 sweeps into 4
+        # slices, whose rows and draws are those of one draw per row
+        m, seed_w = self.lagged_model(make, lag)
+        whole = np.random.default_rng(57)
+        want = generate(m, seed_w, 7, whole, burn_in=19).matrix
+        budget = 16 * sweep_width(m) * 5 + 15
+        monkeypatch.setattr(generation, "READ_AHEAD_BYTES", budget)
+        spy = DrawSpy(np.random.default_rng(57))
+        got = generate(m, seed_w, 7, spy, burn_in=19).matrix
+        assert got.tobytes() == want.tobytes()
+        assert spy.rng.bit_generator.state == whole.bit_generator.state
+        assert len(spy.sizes) == 7 * 4 and 16 * max(spy.sizes) <= budget
 
     def test_runaway_rollout_names_first_non_finite_step(self):
         m = runaway_gaussian_model()

@@ -325,7 +325,8 @@ class TestGibbs:
         # like repeated gibbs_step calls
         m = random_gaussian_model(np.random.default_rng(42), 3, 4)
         v0 = np.array([[0.3, -0.1, 0.8]])
-        got, _ = run_chains(v0, m, None, None, [np.random.default_rng(5)], steps=7)
+        got, _ = run_chains(v0, m, None, None,
+                            ChainStreams([np.random.default_rng(5)], block_bytes=0), steps=7)
         v = v0[0]
         rng = np.random.default_rng(5)
         for _ in range(7):
@@ -340,8 +341,9 @@ class TestGibbs:
         rngs6 = [np.random.default_rng(c) for c in seq.spawn(6)]
         rngs3 = [np.random.default_rng(c) for c in np.random.SeedSequence(17).spawn(6)[:3]]
         v0 = np.zeros((6, 3))
-        wide, _ = run_chains(v0, m, None, None, rngs6, steps=11)
-        narrow, _ = run_chains(v0[:3], m, None, None, rngs3, steps=11)
+        wide, _ = run_chains(v0, m, None, None, ChainStreams(rngs6, block_bytes=0), steps=11)
+        narrow, _ = run_chains(v0[:3], m, None, None, ChainStreams(rngs3, block_bytes=0),
+                               steps=11)
         np.testing.assert_array_equal(wide[:3], narrow)
 
     def test_read_ahead_returns_each_generators_doubles_in_order(self):
@@ -363,7 +365,8 @@ class TestGibbs:
         abias, bbias = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
         v0 = rng.normal(size=(5, 3))
         want = run_chains(v0, m, abias, bbias,
-                          [np.random.default_rng(c) for c in range(5)], steps=11)
+                          ChainStreams([np.random.default_rng(c) for c in range(5)],
+                                       block_bytes=0), steps=11)
         streams = ChainStreams([np.random.default_rng(c) for c in range(5)],
                                block_bytes=8 * 5 * 10)
         v, h = v0, None
@@ -394,7 +397,7 @@ class TestGibbs:
         m = random_bernoulli_model(np.random.default_rng(44), 2, 2)
         with pytest.raises(ValueError, match="one generator per chain"):
             run_chains(np.zeros((3, 2)), m, None, None,
-                       [np.random.default_rng(0)], steps=1)
+                       ChainStreams([np.random.default_rng(0)]), steps=1)
 
 
 class ZeroUniforms:

@@ -390,7 +390,7 @@ class TestTrain:
                           batch_size=64)
         rep = train(series, cfg)
         m = rep.params
-        windows, targets = build_windows(series, cfg.lag)
+        windows, targets = build_windows(series.matrix, cfg.lag)
         assert targets.shape[0] >= 3 * 128
         abias, bbias = dynamic_visible_bias(windows, m), dynamic_hidden_bias(windows, m)
         recon = abias + sigmoid(bbias + targets @ m.W) @ m.W.T
