@@ -1,11 +1,10 @@
-"""Energy, free energy, conditionals, and Gibbs transitions for both
+"""Free energy, conditionals, and Gibbs transitions for both
 Bernoulli-Bernoulli and Gaussian-Bernoulli architectures.
 
 All operations accept either a single state vector or a batch of states in
 the rows of a matrix, and take effective bias vectors so the autoregressive
 layer can substitute its time-dependent biases without touching this module.
-An exact-enumeration marginal is provided for tiny Bernoulli models; it is
-the correctness oracle for sampling and training.
+The exact-enumeration oracles for tiny Bernoulli models are in crbm.exact.
 
 Conventions:
   * visible vectors have length n_visible (bits or z-scores), hidden
@@ -24,9 +23,6 @@ import numpy as np
 
 ARCH_BERNOULLI = "bernoulli"
 ARCH_GAUSSIAN = "gaussian"
-
-# exact_marginals enumerates 2^n_visible states; keep that cheap
-ENUMERATION_LIMIT = 12
 
 # Bytes of work held at once: uniforms in one read-ahead block of all
 # persistent chains, uniforms and variates in one chunk of generate's rows,
@@ -51,12 +47,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out if out.ndim else out[()]
-
-
-def logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) over all entries, shifted by the maximum."""
-    shift = np.max(x)
-    return shift + np.log(np.sum(np.exp(x - shift)))
 
 
 def _logit(u: np.ndarray) -> np.ndarray:
@@ -195,23 +185,6 @@ def _visible_term(v: np.ndarray, abias: np.ndarray, m: ModelParams) -> np.ndarra
     if m.arch == ARCH_BERNOULLI:
         return -np.sum(abias * v, axis=-1)
     return np.sum((v - abias) ** 2 / 2.0, axis=-1)
-
-
-def energy(v: np.ndarray, h: np.ndarray, m: ModelParams,
-           abias: np.ndarray | None = None, bbias: np.ndarray | None = None) -> np.ndarray:
-    """Joint energy E(v, h) under the effective biases.
-
-    Accepts single vectors or row-batches; biases may be shared vectors or
-    per-row matrices.
-    """
-    abias, bbias = _default_biases(m, abias, bbias)
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if v.shape[-1] != m.n_visible or h.shape[-1] != m.n_hidden:
-        raise ValueError("state dimensions inconsistent with model")
-    interaction = np.sum((v @ m.W) * h, axis=-1)
-    hidden_term = np.sum(bbias * h, axis=-1)
-    return _visible_term(v, abias, m) - hidden_term - interaction
 
 
 def free_energy_terms(v: np.ndarray, m: ModelParams,
@@ -378,37 +351,3 @@ def run_chains(v: np.ndarray, m: ModelParams,
     width = sweep_width(m)
     u = rngs.read(steps * width).reshape(len(rngs), steps, width).swapaxes(0, 1)
     return gibbs_kernel(v, m, abias, bbias, *sweep_variates(u, m))
-
-
-def enumerate_states(n: int) -> np.ndarray:
-    """All binary vectors of length n as a (2^n, n) matrix.
-
-    Row i holds the bits of i with entry k equal to bit k (least
-    significant bit in column 0), matching state_index.
-    """
-    idx = np.arange(1 << n, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
-
-
-def state_index(v: np.ndarray) -> np.ndarray:
-    """Index of a binary state under the enumerate_states ordering."""
-    v = np.asarray(v)
-    weights = 1 << np.arange(v.shape[-1], dtype=np.int64)
-    return np.rint(v @ weights).astype(np.int64)
-
-
-def exact_marginals(m: ModelParams,
-                    abias: np.ndarray | None = None,
-                    bbias: np.ndarray | None = None) -> np.ndarray:
-    """Exact P(v) over all 2^n_visible states of a tiny Bernoulli model.
-
-    Test oracle: P(v) = exp(-F(v)) / Z with Z summed by enumeration.
-    Probabilities are indexed by state_index and sum to one.
-    """
-    if m.arch != ARCH_BERNOULLI:
-        raise ValueError("exact enumeration requires the Bernoulli architecture")
-    if m.n_visible > ENUMERATION_LIMIT or m.n_hidden > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration limited to {ENUMERATION_LIMIT} units per layer")
-    states = enumerate_states(m.n_visible)
-    log_weights = -free_energy(states, m, abias, bbias)
-    return np.exp(log_weights - logsumexp(log_weights))

@@ -82,6 +82,8 @@ class TrainConfig:
             raise ValueError("sparsity_cost must be finite and >= 0")
         if self.sparsity_target is not None and self.sparsity_cost == 0:
             raise ValueError("sparsity_target needs sparsity_cost > 0")
+        if self.sparsity_target is None and self.sparsity_cost > 0:
+            raise ValueError("sparsity_cost needs a sparsity_target")
         if self.lag < 0:
             raise ValueError("lag must be >= 0")
         if self.n_hidden < 1:

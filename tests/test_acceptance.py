@@ -18,17 +18,15 @@ from crbm.data import EncodedSeries, fit_binary_codec, RawSeries, binarize, deco
 from crbm.diagnostics import free_energy_series
 from crbm.dynamics import build_windows, conditional_free_energy, \
     conditional_free_energy_terms, dynamic_hidden_bias, dynamic_visible_bias
+from crbm.exact import enumerate_states, exact_marginals, state_index
 from crbm.generation import generate
 from crbm.model import (
     ARCH_BERNOULLI,
     ARCH_GAUSSIAN,
-    enumerate_states,
-    exact_marginals,
     free_energy,
     free_energy_terms,
     gibbs_step,
     hidden_activation_probs,
-    state_index,
 )
 from crbm.training import TrainConfig, init_chains, pcd_gradients, train
 from helpers import naive_free_energy, random_bernoulli_model, random_gaussian_model

@@ -432,9 +432,10 @@ class TestStartup:
         proc = python("-c", "import sys, crbm.cli; "
                             "code = crbm.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
                             "print(code, 'numpy.random' in sys.modules, "
-                            "sys.modules.get('_hashlib') is not None)", *argv)
+                            "sys.modules.get('_hashlib') is not None, "
+                            "'crbm.exact' in sys.modules)", *argv)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 {samples} {samples}"
+        assert proc.stdout.splitlines()[-1] == f"0 {samples} {samples} False"
 
     @pytest.mark.parametrize("entry", ["module", "cli_module", "script"])
     def test_program_loads_no_openssl_and_writes_what_main_writes(self, tmp_path, config_path,

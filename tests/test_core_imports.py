@@ -3,7 +3,8 @@
 ``crbm.model`` (the RBM, its sampler and its free energy) imports no other
 crbm module, and ``crbm.dynamics`` (history windows and dynamic biases)
 imports ``crbm.model`` alone. Each core entry point takes one type, so no
-core function tests an argument's type. The modules are parsed, not
+core function tests an argument's type. No other crbm module imports
+``crbm.exact``, the enumeration oracles. The modules are parsed, not
 imported.
 """
 
@@ -43,6 +44,15 @@ def test_model_imports_no_other_crbm_module():
 
 def test_dynamics_imports_only_model():
     assert crbm_imports("dynamics") == {"crbm.model"}
+
+
+def test_no_module_but_exact_imports_the_oracles():
+    # crbm.exact holds the enumeration oracles over the core; no command,
+    # and not crbm/__init__, loads them
+    assert crbm_imports("exact") == {"crbm.model"}
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "exact")
+    assert "__init__" in modules
+    assert [m for m in modules if "crbm.exact" in crbm_imports(m)] == []
 
 
 @pytest.mark.parametrize("module", ["model", "dynamics"])

@@ -68,8 +68,9 @@ class TestTrainConfig:
         {"learning_rate": math.inf}, {"learning_rate": math.nan},
         {"weight_decay": math.inf}, {"weight_decay": math.nan},
         {"sparsity_cost": -3.0}, {"sparsity_cost": math.inf}, {"sparsity_cost": math.nan},
-        # a target without a cost would train with no sparsity term
-        {"sparsity_target": 0.1},
+        # a target without a cost, or a cost without a target, would train
+        # with no sparsity term
+        {"sparsity_target": 0.1}, {"sparsity_cost": 0.5},
     ])
     def test_validation(self, bad):
         # the message names the refused key
@@ -188,7 +189,8 @@ class TestPcdGradients:
         m.B = rng.normal(size=(lag * nv, nh)) * 0.2
         windows, targets = build_windows(series, lag)
         cfg = TrainConfig(seed=1, lag=lag, n_chains=8, batch_size=64, learning_rate=0.05,
-                          sparsity_target=sparsity, sparsity_cost=0.5)
+                          sparsity_target=sparsity,
+                          sparsity_cost=0.0 if sparsity is None else 0.5)
         assert targets.shape[0] == n_batch < cfg.batch_size
         chains = init_chains(windows, targets, cfg.n_chains, seed=5)
         grads, chains = pcd_gradients((windows, targets), chains, m, cfg,
