@@ -348,9 +348,9 @@ def _read_rows(path, fh, parse_label, label_kind: str, label_column: str | None 
 
 @contextlib.contextmanager
 def _open_text(path):
-    """The file at ``path`` as text; a byte that is not UTF-8 is a
-    ValueError naming the path."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The file at ``path`` as text, a leading byte-order mark skipped; a
+    byte that is not UTF-8 is a ValueError naming the path."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -297,18 +297,15 @@ def gibbs_kernel(v: np.ndarray, m: ModelParams, abias: np.ndarray, bbias: np.nda
     (steps, *v.shape[:-1], ...). A unit turns on when its input exceeds
     logit(u) minus its bias, which is the event u < sigmoid(bias + input),
     so no sigmoid is computed. A Gaussian visible row is a + (W h + z).
+    Sampled layers stay boolean inside the loop and come back as float64;
+    each product turns a boolean operand into 0/1 float64 first.
     """
-    W, WT = m.W, m.W.T
-    h = np.zeros(v.shape[:-1] + (m.n_hidden,))
-    if m.arch == ARCH_BERNOULLI:
-        for th_h, th_v in zip(lu_h - bbias, e_v - abias):
-            h = (np.dot(v, W) > th_h).astype(np.float64)
-            v = (np.dot(h, WT) > th_v).astype(np.float64)
-        return v, h
-    for th_h, z in zip(lu_h - bbias, e_v):
-        h = (np.dot(v, W) > th_h).astype(np.float64)
-        v = abias + (np.dot(h, WT) + z)
-    return v, h
+    W, WT, bernoulli = m.W, m.W.T, m.arch == ARCH_BERNOULLI
+    h = np.zeros(v.shape[:-1] + (m.n_hidden,), dtype=bool)
+    for th_h, e in zip(lu_h - bbias, e_v - abias if bernoulli else e_v):
+        h = v.dot(W) > th_h
+        v = h.dot(WT) > e if bernoulli else abias + (h.dot(WT) + e)
+    return np.asarray(v, dtype=np.float64), h.astype(np.float64)
 
 
 def gibbs_step(v: np.ndarray, m: ModelParams,

@@ -157,12 +157,12 @@ def naive_read_rows(path, parse_label, label_kind: str, label_column: str | None
     """Read a headered CSV one ``csv`` row at a time under the drop rule.
 
     Returns ``(labels, values, asset_names, n_dropped)`` like
-    ``crbm.data._read_rows``: an empty line is skipped; a row with the
-    wrong cell count, a label or cell that does not parse, or a non-finite
-    cell is dropped and counted. A ``csv`` error is a ValueError naming the
-    line.
+    ``crbm.data._read_rows``: a leading byte-order mark is skipped; an
+    empty line is skipped; a row with the wrong cell count, a label or cell
+    that does not parse, or a non-finite cell is dropped and counted. A
+    ``csv`` error is a ValueError naming the line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader)]

@@ -1,5 +1,6 @@
 """Command-line behavior: files written, error paths, exit codes."""
 
+import codecs
 import csv
 import importlib
 import inspect
@@ -1133,6 +1134,64 @@ class TestInputText:
         assert capsys.readouterr().err == (
             f"error: {bad}: not UTF-8 text (invalid start byte)\n")
         assert not out.exists()
+
+
+def marked(path, text):
+    """Write ``text`` to ``path`` after a UTF-8 byte-order mark, as Excel's
+    "CSV UTF-8" export does."""
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    return path
+
+
+def date_second(text):
+    """The CSV ``text`` with its first two columns swapped."""
+    return "".join(",".join([b, a, *rest]) for a, b, *rest in
+                   (line.split(",") for line in text.splitlines(keepends=True)))
+
+
+class TestByteOrderMark:
+    def test_a_named_first_date_column_is_found(self, tmp_path, config_path):
+        source = marked(tmp_path / "bom.csv", FIXTURE.read_text())
+        extra = ["--date-column", "date"]
+        assert run(*train_args(tmp_path / "plain", config_path, extra)) == 0
+        assert run(*train_args(tmp_path / "bom", config_path, extra, source=source)) == 0
+        assert ((tmp_path / "bom" / "model.crbm").read_bytes()
+                == (tmp_path / "plain" / "model.crbm").read_bytes())
+
+    def test_the_first_asset_name_has_no_mark(self, tmp_path, config_path):
+        source = marked(tmp_path / "bom.csv", date_second(FIXTURE.read_text()))
+        out = tmp_path / "bom"
+        assert run(*train_args(out, config_path, ["--date-column", "date"], source=source)) == 0
+        assert load_model(out / "model.crbm").asset_names == ["EQ", "RATES", "FX"]
+        assert run("energy", "--model", out / "model.crbm", "--input", FIXTURE,
+                   "--output-dir", tmp_path / "e") == 0
+
+    def test_the_first_config_key_has_no_mark(self, trained, tmp_path, config_path):
+        config = marked(tmp_path / "bom.cfg", config_path.read_text())
+        assert run(*train_args(tmp_path / "bom", config)) == 0
+        assert ((tmp_path / "bom" / "model.crbm").read_bytes()
+                == (trained / "model.crbm").read_bytes())
+
+    def test_energy_scores_a_marked_input(self, trained, tmp_path):
+        source = marked(tmp_path / "bom.csv", date_second(FIXTURE.read_text()))
+        model = trained / "model.crbm"
+        assert run("energy", "--model", model, "--input", FIXTURE,
+                   "--output-dir", tmp_path / "plain") == 0
+        assert run("energy", "--model", model, "--input", source, "--date-column", "date",
+                   "--output-dir", tmp_path / "bom") == 0
+        assert ((tmp_path / "bom" / cli.ENERGY_FILENAME).read_bytes()
+                == (tmp_path / "plain" / cli.ENERGY_FILENAME).read_bytes())
+
+    def test_stats_reads_a_marked_input(self, tmp_path):
+        # a mark before a quoted first cell would unquote it, and the comma
+        # in it would split the header into one column more than the rows
+        rows = FIXTURE.read_text().split("\n", 1)[1]
+        source = marked(tmp_path / "bom.csv", '"date, UTC",EQ,RATES,FX\n' + rows)
+        for real, out in ((FIXTURE, "plain"), (source, "bom")):
+            assert run("stats", "--real", real, "--synthetic", FIXTURE, "--qq-quantiles", "10",
+                       "--output-dir", tmp_path / out) == 0
+        for path in sorted((tmp_path / "plain").iterdir()):
+            assert (tmp_path / "bom" / path.name).read_bytes() == path.read_bytes()
 
 
 class TestWriteCsv:

@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, and the two encodings against naive oracles."""
 
+import codecs
 import tracemalloc
 from datetime import date, timedelta
 from unittest import mock
@@ -458,6 +459,23 @@ class TestPipedInput:
         assert names == want.asset_names and len(blocks) == 1
         assert (blocks[0][0], blocks[0][1].tobytes(), blocks[0][2]) == (
             want.dates, want.values.tobytes(), want.n_dropped)
+
+    def test_a_byte_order_mark_is_skipped(self, dated, tmp_path):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + dated.read_bytes())
+        # the line count reads the bytes, mark and all, then seeks back to
+        # 0, and the text read after that seek skips the mark again
+        with data._open_text(marked) as fh:
+            assert data._count_lines(fh) is not None
+            assert fh.readline() == "date,A0,A1\r\n"
+        want = ingest_csv(dated)
+        with piped(codecs.BOM_UTF8.decode() + dated.read_text()) as path:
+            from_pipe = ingest_csv(path)
+        for series in (ingest_csv(marked), from_pipe):
+            assert (series.asset_names, series.dates, series.values.tobytes()) == (
+                want.asset_names, want.dates, want.values.tobytes())
+        assert read_values_csv(marked).values.tobytes() == want.values.tobytes()
+        assert next(ingest_blocks(marked)) == want.asset_names
 
     def test_blocks_of_a_file_are_its_rows(self, dated):
         want = ingest_csv(dated)
