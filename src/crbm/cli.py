@@ -181,8 +181,8 @@ def _overlay_index(names, args, mf):
 
 
 def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tuple:
-    """Score, flag and write the rows of ``(dates, values, n_dropped)`` blocks
-    in date order.
+    """Score, flag and write the rows of the RawSeries ``blocks``, which
+    follow one another in date order and hold the input's value columns.
 
     Encoded rows are carried until a call's worth is: a whole number of
     score_rows' blocks (dynamics.score_block), about READ_AHEAD_BYTES. A
@@ -203,17 +203,18 @@ def _score_blocks(paths, headers, blocks, mf, window, threshold, overlay) -> tup
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(_open_csv(path, header))
                  for path, header in zip(paths, headers)]
-        for block_dates, values, dropped in itertools.chain(blocks, [(None, None, 0)]):
-            n_dropped += dropped
-            if values is not None:  # None: score what is left
+        for block in itertools.chain(blocks, [None]):
+            if block is not None:  # None: score what is left
+                n_dropped += block.n_dropped
                 if overlay is not None:
-                    gauge = np.concatenate([gauge, values[:, overlay]])
-                    values = np.delete(values, overlay, axis=1)
-                encoded = _encode_with(data.RawSeries(block_dates, values, names), mf.codec)
+                    gauge = np.concatenate([gauge, block.values[:, overlay]])
+                    block = data.RawSeries(block.dates, np.delete(block.values, overlay, axis=1),
+                                           names)
+                encoded = _encode_with(block, mf.codec)
                 rows = np.concatenate([rows, encoded.matrix]) if len(rows) else encoded.matrix
-                dates += block_dates
+                dates += block.dates
                 n_clipped += encoded.n_clipped
-            while len(rows) - m.lag >= (1 if values is None else call):
+            while len(rows) - m.lag >= (1 if block is None else call):
                 n = min(len(rows) - m.lag, call)
                 with np.errstate(over="ignore", invalid="ignore"):
                     fe = diagnostics.free_energy_series(
@@ -256,8 +257,7 @@ def cmd_energy(args) -> int:
                 series = data.ingest_csv(args.input, date_column=args.date_column)
                 # read again: check its columns again
                 overlay = _overlay_index(series.asset_names, args, mf)
-                whole = [(series.dates, series.values, series.n_dropped)]
-                counts = _score_blocks(parts, headers, whole, *rule, overlay)
+                counts = _score_blocks(parts, headers, [series], *rule, overlay)
     n_scored, n_flagged, n_clipped, n_dropped = counts
     if n_dropped:
         print(f"dropped {n_dropped} malformed input row(s)")

@@ -157,10 +157,11 @@ class EncodedSeries:
 def _parse_block(lines, text: str, parse_label, label_idx: int, n_cols: int):
     """Parse lines of one label cell and numeric cells with one C call.
 
-    Returns ``(labels, values)`` for the rows, with empty lines skipped;
-    ``labels`` is None when ``parse_label`` is. Raises ValueError when any
-    row is ragged or has a label or cell that does not parse; the caller
-    then reads the lines row by row.
+    Returns ``(labels, values, 0)`` for the rows: loadtxt skips the empty
+    lines and drops no other. ``labels`` is None
+    when ``parse_label`` is. Raises ValueError when any row is ragged or has
+    a label or cell that does not parse; the caller then reads the lines row
+    by row.
     """
     if parse_label is None:
         # loadtxt skips the first column and ignores cells past the last one
@@ -170,7 +171,7 @@ def _parse_block(lines, text: str, parse_label, label_idx: int, n_cols: int):
                            ndmin=2)
         if text.count(",") != (n_cols - 1) * block.shape[0]:
             raise ValueError("ragged block")
-        return None, block
+        return None, block, 0
     labels = []
 
     def label(cell):
@@ -181,20 +182,23 @@ def _parse_block(lines, text: str, parse_label, label_idx: int, n_cols: int):
                        ndmin=2)
     if block.shape[1] != n_cols or len(labels) != block.shape[0]:
         raise ValueError("ragged block")
-    return labels, np.delete(block, label_idx, axis=1)
+    return labels, np.delete(block, label_idx, axis=1), 0
 
 
-def _parse_rows(reader, n_lines: int, parse_label, label_idx: int, n_cols: int, labels,
-                values) -> int:
-    """Append the label and cells of each csv row to ``labels`` and ``values``,
-    up to the row during which the reader reaches line ``n_lines``.
+def _parse_rows(reader, n_lines: int, parse_label, label_idx: int, n_cols: int):
+    """Read the label and cells of each csv row, up to the row during which
+    the reader reaches line ``n_lines``: ``(labels, values, n_dropped)``,
+    with ``values`` a (rows, n_cols - 1) matrix.
 
     An empty line is skipped. A row with the wrong cell count or a label or
-    cell that does not parse is dropped; returns how many were. Non-finite
-    cells are kept. With no ``parse_label`` the label is not read and
-    ``labels`` is not touched.
+    cell that does not parse is dropped and counted. Non-finite cells are
+    kept. With no ``parse_label`` the label is not read: ``labels`` is None.
     """
-    n_dropped = 0
+    # a lazy import: the extension adds about 0.1 MiB of RSS to commands
+    # that read no CSV, such as generate
+    from array import array
+
+    labels, values, n_dropped = None if parse_label is None else [], array("d"), 0
     while reader.line_num < n_lines and (row := next(reader, None)) is not None:
         if not row:
             continue
@@ -210,7 +214,7 @@ def _parse_rows(reader, n_lines: int, parse_label, label_idx: int, n_cols: int, 
             continue
         if parse_label is not None:
             labels.append(label)
-    return n_dropped
+    return labels, np.frombuffer(values).reshape(-1, n_cols - 1), n_dropped
 
 
 def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | None = None):
@@ -238,10 +242,6 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     the end of the row it is in. What ``csv`` refuses, such as a cell over
     its field limit, is a ValueError naming the line.
     """
-    # a lazy import: the extension adds about 0.1 MiB of RSS to commands
-    # that read no CSV, such as generate
-    from array import array
-
     reader = csv.reader(fh)
     try:
         header = [name.strip() for name in next(reader)]
@@ -262,31 +262,23 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     line, n_rows = reader.line_num, 0
     while lines := fh.readlines(max(READ_AHEAD_BYTES // 4, 1)):
         text, n_lines = "".join(lines), len(lines)
-        labels, values = None, None
+        parsed = None
         if '"' in text:
             lines = itertools.chain(lines, fh)
         # loadtxt warns on a block of empty lines only, which holds no row
         elif (text.strip("\r\n") and max(map(len, lines)) <= csv.field_size_limit()
               and not any(c in text for c in "\x00\x1c\x1d\x1e\x1f")):
-            try:
-                labels, values = _parse_block(lines, text, parse_label, label_idx, n_cols)
-            except ValueError:
-                pass
-            else:
-                # loadtxt skips the empty lines and drops no other
-                n_dropped = 0
+            with contextlib.suppress(ValueError):
+                parsed = _parse_block(lines, text, parse_label, label_idx, n_cols)
                 line += len(lines)
-        if values is None:
+        if parsed is None:
             reader = csv.reader(lines)
-            labels = None if parse_label is None else []
-            cells = array("d")
             try:
-                n_dropped = _parse_rows(reader, n_lines, parse_label, label_idx, n_cols, labels,
-                                        cells)
+                parsed = _parse_rows(reader, n_lines, parse_label, label_idx, n_cols)
             except csv.Error as exc:
                 raise ValueError(f"{path}: line {line + reader.line_num}: {exc}") from None
             line += reader.line_num
-            values = np.frombuffer(cells).reshape(-1, n_cols - 1)
+        labels, values, n_dropped = parsed
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             n_dropped += int(np.count_nonzero(~finite))
@@ -304,8 +296,12 @@ def _count_lines(fh) -> int | None:
     as ``csv`` ends them, with ``fh`` rewound; None if it cannot seek."""
     if not fh.seekable():
         return None
-    n_lines = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-                      for chunk in iter(lambda: fh.buffer.read(READ_AHEAD_BYTES), b""))
+    n_lines, after_cr = 1, False
+    for chunk in iter(lambda: fh.buffer.read(READ_AHEAD_BYTES), b""):
+        # a \r\n that two chunks split is one line end
+        n_lines += (chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+                    - (after_cr and chunk.startswith(b"\n")))
+        after_cr = chunk.endswith(b"\r")
     fh.seek(0)
     return n_lines
 
@@ -406,30 +402,30 @@ class DatesNotAscending(Exception):
 def ingest_blocks(path, date_column: str | None = None):
     """Read a dated multi-asset CSV a block at a time, in file order.
 
-    Yields the asset names, then ``(dates, values, n_dropped)`` for each
-    block, read and dropped by ingest_csv's rules; a block may have no rows
-    and ``n_dropped`` counts the rows it dropped. Raises
-    DatesNotAscending at the first date that does not strictly ascend,
-    within a block or across blocks; ingest_csv then reads and sorts the
-    file. Input that cannot seek, such as a pipe, cannot be read again, so
-    it is read whole and sorted by ingest_csv's rules and comes as one block.
+    Yields the asset names, then a RawSeries for each block, read and
+    dropped by ingest_csv's rules; a block may have no rows and its
+    ``n_dropped`` counts the rows it dropped. Raises DatesNotAscending at
+    the first date that does not strictly ascend, within a block or across
+    blocks; ingest_csv then reads and sorts the file. Input that cannot
+    seek, such as a pipe, cannot be read again, so it is read whole and
+    sorted by ingest_csv's rules and comes as one block.
     """
     with _open_text(path) as fh:
         if not fh.seekable():
             series = _ingest(path, fh, date_column)
             yield series.asset_names
-            yield series.dates, series.values, series.n_dropped
+            yield series
             return
         blocks = _read_blocks(path, fh, _iso_date, "date", date_column)
-        yield next(blocks)
-        last = None
+        names, last = next(blocks), None
+        yield names
         for dates, values, n_dropped in blocks:
             if dates:
                 if ((last is not None and dates[0] <= last)
                         or not all(map(operator.lt, dates, dates[1:]))):
                     raise DatesNotAscending(path)
                 last = dates[-1]
-            yield dates, values, n_dropped
+            yield RawSeries(dates, values, names, n_dropped)
 
 
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:
@@ -525,7 +521,8 @@ def decode_series(encoded: EncodedSeries) -> np.ndarray:
     """Map an encoded matrix back to raw units (T x n_assets).
 
     Bernoulli rows group columns per asset MSB-first and decode to bin
-    centers; Gaussian rows take the affine z-score inverse.
+    centers; Gaussian rows take the affine z-score inverse. Raises
+    ValueError when the series is not as wide as its codec encodes rows.
     """
     codec = encoded.codec
     if getattr(codec, "arch", None) != encoded.arch:
@@ -535,6 +532,9 @@ def decode_series(encoded: EncodedSeries) -> np.ndarray:
         raise ValueError(
             f"bit-group misalignment: {encoded.n_visible} columns is not "
             f"{codec.n_assets} assets x {codec.bits_per_asset} bits")
+    if encoded.arch == ARCH_GAUSSIAN and encoded.n_visible != codec.n_assets:
+        raise ValueError(f"column misalignment: {encoded.n_visible} columns is not "
+                         f"{codec.n_assets} assets")
     return _decode(encoded.matrix, codec)
 
 

@@ -20,39 +20,37 @@ from crbm.model import ARCH_BERNOULLI, ARCH_GAUSSIAN, ModelParams
 from crbm.model_io import FORMAT_VERSION, MAGIC, save_model
 
 
-def naive_energy(v, h, W, a, b, sigma, arch):
-    """Scalar-loop joint energy."""
+def naive_energy(v, h, W, a, b, arch):
+    """Scalar-loop joint energy; Gaussian visible units have unit variance."""
     nv, nh = len(a), len(b)
     inter = 0.0
     for i in range(nv):
-        scaled = v[i] if arch == ARCH_BERNOULLI else v[i] / sigma[i]
         for j in range(nh):
-            inter += scaled * W[i][j] * h[j]
+            inter += v[i] * W[i][j] * h[j]
     hidden = sum(b[j] * h[j] for j in range(nh))
     if arch == ARCH_BERNOULLI:
         visible = -sum(a[i] * v[i] for i in range(nv))
     else:
-        visible = sum((v[i] - a[i]) ** 2 / (2.0 * sigma[i] ** 2) for i in range(nv))
+        visible = sum((v[i] - a[i]) ** 2 / 2.0 for i in range(nv))
     return visible - hidden - inter
 
 
-def naive_free_energy(v, W, a, b, sigma, arch):
+def naive_free_energy(v, W, a, b, arch):
     """-log sum over all hidden states of exp(-E), by brute enumeration."""
     nh = len(b)
-    energies = [naive_energy(v, h, W, a, b, sigma, arch)
+    energies = [naive_energy(v, h, W, a, b, arch)
                 for h in itertools.product((0.0, 1.0), repeat=nh)]
     m = min(energies)
     return m - math.log(sum(math.exp(m - e) for e in energies))
 
 
-def naive_hidden_probs(v, W, b, sigma, arch):
+def naive_hidden_probs(v, W, b):
     nv, nh = len(v), len(b)
     probs = []
     for j in range(nh):
         pre = b[j]
         for i in range(nv):
-            scaled = v[i] if arch == ARCH_BERNOULLI else v[i] / sigma[i]
-            pre += scaled * W[i][j]
+            pre += v[i] * W[i][j]
         probs.append(1.0 / (1.0 + math.exp(-pre)))
     return probs
 
@@ -60,14 +58,13 @@ def naive_hidden_probs(v, W, b, sigma, arch):
 def naive_marginals(W, a, b):
     """Exact Bernoulli P(v) for every visible state, indexed LSB-first."""
     nv = len(a)
-    sigma = [1.0] * nv
     states = [list(bits) for bits in itertools.product((0.0, 1.0), repeat=nv)]
     # column k carries weight 2^k regardless of enumeration order
     weights = []
     for bits in states:
         idx = sum(int(bit) << k for k, bit in enumerate(bits))
         weights.append((idx, math.exp(-naive_free_energy(
-            bits, W, a, b, sigma, ARCH_BERNOULLI))))
+            bits, W, a, b, ARCH_BERNOULLI))))
     total = sum(w for _, w in weights)
     out = [0.0] * (1 << nv)
     for idx, w in weights:
@@ -75,12 +72,12 @@ def naive_marginals(W, a, b):
     return np.array(out)
 
 
-def naive_gaussian_hidden_marginals(W, a, b, sigma):
+def naive_gaussian_hidden_marginals(W, a, b):
     """Exact Gaussian-Bernoulli P(h) for every hidden state, indexed LSB-first.
 
-    Integrating v out of exp(-E(v, h)) leaves, per visible unit, a Gaussian
-    integral, so P(h) is proportional to
-    exp(b.h + sum_i a_i (W h)_i / sigma_i + |W h|^2 / 2).
+    Integrating the unit-variance v out of exp(-E(v, h)) leaves, per visible
+    unit, a Gaussian integral, so P(h) is proportional to
+    exp(b.h + sum_i a_i (W h)_i + |W h|^2 / 2).
     """
     nv, nh = len(a), len(b)
     weights = [0.0] * (1 << nh)
@@ -88,7 +85,7 @@ def naive_gaussian_hidden_marginals(W, a, b, sigma):
         log_w = sum(b[j] * bits[j] for j in range(nh))
         for i in range(nv):
             wh = sum(W[i][j] * bits[j] for j in range(nh))
-            log_w += a[i] * wh / sigma[i] + 0.5 * wh * wh
+            log_w += a[i] * wh + 0.5 * wh * wh
         weights[sum(bit << k for k, bit in enumerate(bits))] = math.exp(log_w)
     total = sum(weights)
     return np.array([w / total for w in weights])

@@ -70,7 +70,7 @@ def test_criterion_1_free_energy_oracle_equivalence():
         m = random_bernoulli_model(rng, nv, nh, scale=float(rng.uniform(0.3, 1.5)))
         states = enumerate_states(nv)
         got = free_energy(states, m)
-        want = [naive_free_energy(s, m.W, m.a, m.b, [1.0] * nv, m.arch)
+        want = [naive_free_energy(s, m.W, m.a, m.b, m.arch)
                 for s in states]
         worst = max(worst, float(np.max(np.abs(got - want))))
     dt = elapsed_since(t0)

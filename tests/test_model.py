@@ -162,7 +162,7 @@ class TestEnergy:
             v = (rng.random(4) < 0.5).astype(float)
             h = (rng.random(3) < 0.5).astype(float)
             assert energy(v, h, m) == pytest.approx(
-                naive_energy(v, h, m.W, m.a, m.b, np.ones(4), m.arch), abs=1e-12)
+                naive_energy(v, h, m.W, m.a, m.b, m.arch), abs=1e-12)
 
     def test_matches_naive_gaussian(self):
         rng = np.random.default_rng(8)
@@ -171,7 +171,7 @@ class TestEnergy:
             v = rng.normal(size=4)
             h = (rng.random(3) < 0.5).astype(float)
             assert energy(v, h, m) == pytest.approx(
-                naive_energy(v, h, m.W, m.a, m.b, np.ones(4), m.arch), abs=1e-12)
+                naive_energy(v, h, m.W, m.a, m.b, m.arch), abs=1e-12)
 
     def test_batched_rows_match_single(self):
         rng = np.random.default_rng(9)
@@ -195,7 +195,7 @@ class TestEnergy:
         h = np.array([0.0, 1.0])
         abias = rng.normal(size=3)
         bbias = rng.normal(size=2)
-        want = naive_energy(v, h, m.W, abias, bbias, np.ones(3), m.arch)
+        want = naive_energy(v, h, m.W, abias, bbias, m.arch)
         assert energy(v, h, m, abias, bbias) == pytest.approx(want, abs=1e-12)
 
 
@@ -207,7 +207,7 @@ class TestFreeEnergy:
                 m = make(rng, 3, 4)
                 v = ((rng.random(3) < 0.5).astype(float)
                      if m.arch == ARCH_BERNOULLI else rng.normal(size=3))
-                want = naive_free_energy(v, m.W, m.a, m.b, np.ones(3), m.arch)
+                want = naive_free_energy(v, m.W, m.a, m.b, m.arch)
                 assert free_energy(v, m) == pytest.approx(want, abs=1e-9)
 
     def test_terms_sum_to_total_exactly(self):
@@ -237,7 +237,7 @@ class TestConditionals:
         m = random_bernoulli_model(rng, 4, 3)
         v = (rng.random(4) < 0.5).astype(float)
         np.testing.assert_allclose(hidden_activation_probs(v, m),
-                                   naive_hidden_probs(v, m.W, m.b, np.ones(4), m.arch),
+                                   naive_hidden_probs(v, m.W, m.b),
                                    atol=1e-12)
 
     def test_gaussian_reconstruction_moments(self):
@@ -430,8 +430,7 @@ class TestKernel:
         # and the Box-Muller noise has unit variance
         rng = np.random.default_rng(3)
         m = random_gaussian_model(rng, 3, 3)
-        p_true = naive_gaussian_hidden_marginals(m.W.tolist(), m.a.tolist(),
-                                                 m.b.tolist(), [1.0] * 3)
+        p_true = naive_gaussian_hidden_marginals(m.W.tolist(), m.a.tolist(), m.b.tolist())
         gen = np.random.default_rng(49)
         v = m.a + gen.standard_normal((20_000, 3))
         counts = np.zeros(8)

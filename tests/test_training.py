@@ -35,7 +35,7 @@ def loop_statistics(m, vs, ws):
     for v, w in zip(vs, ws):
         bbias = m.b + w @ m.B
         abias = m.a + w @ m.A
-        p = np.array(naive_hidden_probs(v, m.W, bbias, np.ones(nv), m.arch))
+        p = np.array(naive_hidden_probs(v, m.W, bbias))
         stat_a = v if m.arch == ARCH_BERNOULLI else v - abias
         gW += np.outer(v, p) / n
         ga += stat_a / n
@@ -343,7 +343,7 @@ class TestTrain:
         windows, targets = build_windows(rng.normal(size=(20, 3)), lag=1)
         total = 0.0
         for w, v in zip(windows, targets):
-            p = naive_hidden_probs(v, m.W, m.b + w @ m.B, np.ones(3), m.arch)
+            p = naive_hidden_probs(v, m.W, m.b + w @ m.B)
             for i in range(3):
                 center = m.a[i] + w @ m.A[:, i] + sum(m.W[i, j] * p[j] for j in range(4))
                 total += (v[i] - center) ** 2
