@@ -295,7 +295,7 @@ def cmd_stats(args) -> int:
     # so that errors keep their order (real read, synthetic read, column
     # names, sizes). Every check runs before the output directory is made.
     table = data.read_values_csv(args.real)
-    names, n_rows = table.asset_names, table.values.shape[0]
+    names, n_rows = table.asset_names, table.n_rows
     dropped = [(args.real, table.n_dropped)]
     if _stats_size_error(args.qq_quantiles, n_rows) is None:
         levels = diagnostics._qq_levels(args.qq_quantiles)
@@ -306,7 +306,7 @@ def cmd_stats(args) -> int:
     if table.asset_names != names:
         raise ValueError(f"asset columns differ: real has {names}, "
                          f"synthetic has {table.asset_names}")
-    error = _stats_size_error(args.qq_quantiles, min(n_rows, table.values.shape[0]))
+    error = _stats_size_error(args.qq_quantiles, min(n_rows, table.n_rows))
     if error is not None:
         raise ValueError(error)
     qq_files = [f"qq_{_safe_filename(name)}.csv" for name in names]

@@ -24,13 +24,14 @@ from .model import ARCH_BERNOULLI, ARCH_GAUSSIAN, READ_AHEAD_BYTES
 
 @dataclass
 class RawSeries:
-    """Dated observation matrix with one column per asset.
+    """Observation matrix with one column per asset, dated or not.
 
-    Rows are strictly increasing in date and contain no missing cells;
-    ``n_dropped`` counts input rows discarded during ingestion.
+    Rows contain no missing cells and strictly increase in date, or, with
+    ``dates`` None, are a table read without its label column, in file
+    order; ``n_dropped`` counts input rows discarded during ingestion.
     """
 
-    dates: list
+    dates: list | None
     values: np.ndarray
     asset_names: list[str]
     n_dropped: int = 0
@@ -41,13 +42,13 @@ class RawSeries:
             raise ValueError("values must be a T x D matrix")
         if self.values.shape[1] < 1:
             raise ValueError("need at least one asset column")
-        if len(self.dates) != self.values.shape[0]:
+        if self.dates is not None and len(self.dates) != self.values.shape[0]:
             raise ValueError("dates and values disagree on row count")
         if len(self.asset_names) != self.values.shape[1]:
             raise ValueError("asset_names and values disagree on column count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
-        if not all(map(operator.lt, self.dates, self.dates[1:])):
+        if self.dates is not None and not all(map(operator.lt, self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing")
 
     @property
@@ -217,7 +218,7 @@ def _parse_rows(reader, n_lines: int, parse_label, label_idx: int, n_cols: int):
     return labels, np.frombuffer(values).reshape(-1, n_cols - 1), n_dropped
 
 
-def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | None = None):
+def _read_blocks(path, fh, parse_label, label_column: str | None = None):
     """Read a headered CSV of one label column and numeric cells a block at a time.
 
     Reads the text handle ``fh`` from where it stands; ``path`` names the
@@ -225,11 +226,12 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     n_dropped)`` for each block of rows in file order, with ``values`` a
     (rows, assets) matrix that may have no rows. ``label_column`` names the
     label column (default: the first); ``parse_label`` turns its cell into
-    the label. With ``parse_label`` None the label is the first column, and
-    it is neither parsed nor kept: ``labels`` is None. A row with the wrong
-    cell count, a label or cell that does not parse, or a non-finite cell
-    is dropped and counted; an empty line is skipped, and not counted.
-    Raises ValueError when the file holds no parseable row.
+    a date. With ``parse_label`` None the label is the first column, and it
+    is neither parsed nor kept: ``labels`` is None, and errors call it a
+    label column. A row with the wrong cell count, a label or cell that does
+    not parse, or a non-finite cell is dropped and counted; an empty line is
+    skipped, and not counted. Raises ValueError when the file holds no
+    parseable row.
 
     A block is about READ_AHEAD_BYTES / 4 of lines (larger ones kept more
     RSS and were no faster), parsed with one ``np.loadtxt`` call. A block
@@ -250,6 +252,7 @@ def _read_blocks(path, fh, parse_label, label_kind: str, label_column: str | Non
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(header) < 2:
+        label_kind = "label" if parse_label is None else "date"
         raise ValueError(f"{path}: need a {label_kind} column plus at least one asset column")
     if label_column is None:
         label_idx = 0
@@ -306,8 +309,9 @@ def _count_lines(fh) -> int | None:
     return n_lines
 
 
-def _read_rows(path, fh, parse_label, label_kind: str, label_column: str | None = None):
-    """The whole of ``_read_blocks``: ``(labels, values, asset_names, n_dropped)``.
+def _read_rows(path, fh, parse_label, label_column: str | None = None):
+    """The whole of ``_read_blocks``: ``(labels, values, asset_names, n_dropped)``,
+    the fields of a RawSeries in their order.
 
     The values go into one array with a row for each line of the file,
     counted before the read, so no value is copied or held twice; growing a
@@ -321,7 +325,7 @@ def _read_rows(path, fh, parse_label, label_kind: str, label_column: str | None 
     ``parse_label``.
     """
     n_lines = _count_lines(fh)
-    blocks = _read_blocks(path, fh, parse_label, label_kind, label_column)
+    blocks = _read_blocks(path, fh, parse_label, label_column)
     asset_names = next(blocks)
     if n_lines is not None:
         n_lines = min(n_lines, os.fstat(fh.fileno()).st_size // (2 * len(asset_names)) + 1)
@@ -384,7 +388,7 @@ def ingest_csv(path, date_column: str | None = None) -> RawSeries:
 
 def _ingest(path, fh, date_column: str | None) -> RawSeries:
     """ingest_csv of the text handle ``fh``; ``path`` names it in errors."""
-    dates, values, asset_names, n_dropped = _read_rows(path, fh, _iso_date, "date", date_column)
+    dates, values, asset_names, n_dropped = _read_rows(path, fh, _iso_date, date_column)
     if not all(map(operator.lt, dates, dates[1:])):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates = [dates[i] for i in order]
@@ -416,7 +420,7 @@ def ingest_blocks(path, date_column: str | None = None):
             yield series.asset_names
             yield series
             return
-        blocks = _read_blocks(path, fh, _iso_date, "date", date_column)
+        blocks = _read_blocks(path, fh, _iso_date, date_column)
         names, last = next(blocks), None
         yield names
         for dates, values, n_dropped in blocks:
@@ -431,8 +435,11 @@ def ingest_blocks(path, date_column: str | None = None):
 def chrono_split(series: RawSeries, boundary: Date) -> tuple[RawSeries, RawSeries]:
     """Split into (dates <= boundary, dates > boundary): views of the values.
 
-    Both share the asset names. Raises ValueError when either side is empty.
+    Both share the asset names. Raises ValueError for an undated series and
+    when either side is empty.
     """
+    if series.dates is None:
+        raise ValueError("an undated series cannot be split by date")
     n_left = bisect.bisect_right(series.dates, boundary)
     if n_left == 0:
         raise ValueError(f"boundary {boundary} precedes the first date; training side empty")
@@ -551,21 +558,9 @@ def _decode(matrix: np.ndarray, codec) -> np.ndarray:
     return codec.minimum + idx / top * (codec.maximum - codec.minimum)
 
 
-@dataclass
-class TableData:
-    """Order-preserving CSV payload for fidelity comparisons.
-
-    Unlike ingest_csv the first column is an opaque label, read but not
-    kept (synthetic output uses step indices there), and rows are not sorted.
-    """
-
-    values: np.ndarray
-    asset_names: list[str]
-    n_dropped: int = 0
-
-
-def read_values_csv(path) -> TableData:
-    """Read the values of a CSV of labeled numeric rows, preserving file order."""
+def read_values_csv(path) -> RawSeries:
+    """Read the values of a CSV of labeled numeric rows, in file order, into a
+    RawSeries with no dates: the first column is an opaque label (synthetic
+    output puts step indices there), read but not kept."""
     with _open_text(path) as fh:
-        _, values, asset_names, n_dropped = _read_rows(path, fh, None, "label")
-    return TableData(values, asset_names, n_dropped)
+        return RawSeries(*_read_rows(path, fh, None))

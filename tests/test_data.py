@@ -42,6 +42,27 @@ def toy_series():
     return RawSeries(dates, values, ["x", "y", "z"])
 
 
+class TestRawSeries:
+    @pytest.mark.parametrize("dates", [None, [date(2020, 1, 1)]], ids=["undated", "dated"])
+    @pytest.mark.parametrize("values, names, match", [
+        ([[1.0, np.nan]], ["x", "y"], "^values contain non-finite entries$"),
+        ([[1.0, np.inf]], ["x", "y"], "^values contain non-finite entries$"),
+        ([1.0, 2.0], ["x", "y"], "^values must be a T x D matrix$"),
+        ([[1.0, 2.0]], ["x"], "^asset_names and values disagree on column count$"),
+    ], ids=["nan", "inf", "one_dimensional", "name_count"])
+    def test_every_table_is_checked(self, dates, values, names, match):
+        with pytest.raises(ValueError, match=match):
+            RawSeries(dates, values, names)
+
+    def test_only_a_dated_series_checks_row_count_and_order(self):
+        table = RawSeries(None, [[2.0], [1.0]], ["x"])
+        assert table.dates is None and table.n_rows == 2
+        with pytest.raises(ValueError, match="^dates and values disagree on row count$"):
+            RawSeries([date(2020, 1, 1)], [[2.0], [1.0]], ["x"])
+        with pytest.raises(ValueError, match="^dates must be strictly increasing$"):
+            RawSeries([date(2020, 1, 2), date(2020, 1, 1)], [[2.0], [1.0]], ["x"])
+
+
 class TestIngest:
     def test_reads_sorted_rows(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -168,6 +189,11 @@ class TestChronoSplit:
         for day, n_left in ((2, 1), (3, 1), (4, 2), (5, 2), (7, 3)):
             left, right = chrono_split(series, date(2021, 1, day))
             assert left.dates == days[:n_left] and right.dates == days[n_left:]
+
+    def test_undated_series_errors(self, toy_series):
+        undated = RawSeries(None, toy_series.values, toy_series.asset_names)
+        with pytest.raises(ValueError, match="^an undated series cannot be split by date$"):
+            chrono_split(undated, date(2021, 1, 20))
 
     def test_empty_side_errors(self, toy_series):
         with pytest.raises(ValueError, match="training side empty"):
@@ -361,6 +387,7 @@ class TestValuesCsv:
         path = tmp_path / "vals.csv"
         path.write_text("step,A,B\n0,5.0,1.0\n1,4.0,2.0\n2,3.0,3.0\n")
         table = read_values_csv(path)
+        assert isinstance(table, RawSeries) and table.dates is None
         assert table.values.shape == (3, 2)  # the label column is read, not kept
         assert table.asset_names == ["A", "B"]
         np.testing.assert_array_equal(table.values[:, 0], [5.0, 4.0, 3.0])
